@@ -39,7 +39,8 @@ def main() -> None:
     saved = 100 * (1 - best.nodes_explored / brute.nodes_explored)
     print(f"\nSame schedule, same cost, {saved:.0f}% of the tree never")
     print("visited: the admissible bound (each path serves at most one")
-    print("vehicle per tick) lets whole subtrees be discarded as soon as")
+    print("vehicle per tick, and a path left red waits out its slow start")
+    print("before the next) lets whole subtrees be discarded as soon as")
     print("their accrued cost plus the bound reaches the incumbent.")
 
 

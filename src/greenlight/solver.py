@@ -1,16 +1,29 @@
 """Exact k-step schedule search: branch and bound plus a brute-force oracle.
 
 The optimizer explores candidate phases depth-first in ascending
-bit-vector order, pruning a branch as soon as its accrued cost plus the
+bit-vector order, pruning a branch as soon as its accrued cost plus an
 admissible lower bound cannot strictly beat the incumbent. Because the
 first minimum-cost leaf reached in that order is the lexicographically
 smallest one, the returned schedule is deterministic and matches the
 oracle's tie-break exactly.
 
-Block costs are computed in closed form from per-path prefix sums rather
-than by replaying ticks, which keeps a single search well under real-time
-budgets; the oracle recomputes every leaf through the public tick
-dynamics instead, so the two routes share no cost code.
+Since slow_start < phase_ticks, a path entering a block is either warm
+(open in the previous phase, so it can release a vehicle on the first
+tick) or cold (it waits slow_start ticks first); its exact green age
+does not matter. Per snapshot and path the search therefore builds
+tables indexed by departed count: the block cost while closed, the cost
+and new departed count when opened warm or cold, and one bound row per
+depth. A node sums the closed-path costs and bounds once, and each
+candidate adjusts only its own open paths by table lookups.
+
+The bound is slow-start aware. Over the R ticks after a block, the j-th
+vehicle still queued on a path pays at least min(j, R) if the block
+left the path open, and min(j + slow_start, R) if it left it closed,
+because a closed path must turn green again before anyone leaves. The
+bound is admissible and never below `dynamics.lower_bound`.
+
+The oracle recomputes every leaf through the public tick dynamics
+instead, so the two routes share no cost code.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .dynamics import DynamicsConfig, rollout_cost, step
+from .dynamics import DynamicsConfig, initial_green_ages, rollout_cost, step
 from .errors import InvalidSpecError, NoFeasibleScheduleError, OracleTooLargeError
 from .model import (
     IntersectionSpec,
@@ -73,6 +86,31 @@ def _base_phases(spec: IntersectionSpec, cfg: SolverConfig) -> tuple[Phase, ...]
     return enumerate_feasible_phases(spec.conflicts, maximal_only=False)
 
 
+def _guard_target(front_waits: list[int | None], wmax: int | None) -> int | None:
+    """Path the starvation guard forces open, or None.
+
+    `front_waits[i]` is the wait of path i's front vehicle, None for an
+    empty queue. The target is the longest wait of at least wmax, ties
+    going to the lowest path index.
+    """
+    if wmax is None:
+        return None
+    target = None
+    worst = wmax - 1
+    for i, w in enumerate(front_waits):
+        if w is not None and w > worst:
+            worst = w
+            target = i
+    return target
+
+
+def _phases_opening(base: tuple[Phase, ...], target: int) -> tuple[Phase, ...]:
+    guarded = tuple(ph for ph in base if ph.is_open(target))
+    if not guarded:
+        raise NoFeasibleScheduleError(f"no candidate phase opens starved path {target}")
+    return guarded
+
+
 def candidate_phases(
     spec: IntersectionSpec,
     s: TrafficSnapshot,
@@ -90,20 +128,69 @@ def candidate_phases(
     """
     spec.validate_snapshot(s)
     base = _base_phases(spec, cfg)
-    if cfg.wmax is None:
+    target = _guard_target([q[0].wait if q else None for q in s.queues], cfg.wmax)
+    if target is None:
         return base
-    target = -1
-    worst = -1
-    for i, q in enumerate(s.queues):
-        if q and q[0].wait >= cfg.wmax and q[0].wait > worst:
-            worst = q[0].wait
-            target = i
-    if target < 0:
-        return base
-    guarded = tuple(ph for ph in base if ph.is_open(target))
-    if not guarded:
-        raise NoFeasibleScheduleError(f"no candidate phase opens starved path {target}")
-    return guarded
+    return _phases_opening(base, target)
+
+
+def _path_tables(priorities: list[int], dyn: DynamicsConfig, k: int):
+    """One path's block and bound tables, indexed by departed count d.
+
+    Returns (closed, cold_bound, cold, warm). closed[d] is the block cost
+    while the path stays closed. The other three hold one row per depth:
+    cold_bound[depth][d] bounds the rest of the horizon after a block that
+    left the path closed, and cold[depth][d] / warm[depth][d] hold (cost
+    plus bound change, cost change, new d) for a block that opens the path
+    cold or warm, both changes taken against closed[d] and
+    cold_bound[depth][d]. Rows are filled only at the departed counts
+    reachable at their depth; the search never reads the other entries.
+    """
+    big_d, small_s = dyn.phase_ticks, dyn.slow_start
+    n = len(priorities)
+    # ps[x] = sum of the first x priorities; iw[x] = sum of
+    # position-weighted priorities, positions 0-based
+    ps = [0] * (n + 1)
+    iw = [0] * (n + 1)
+    for j, p in enumerate(priorities):
+        ps[j + 1] = ps[j] + p
+        iw[j + 1] = iw[j] + j * p
+    total = ps[n]
+
+    def tail(d: int, r: int, lag: int) -> int:
+        # sum of priority * min(position + lag, r) over the vehicles from d
+        # on, positions counted from d: the least they pay over the next r
+        # ticks if the front cannot leave before `lag` ticks have passed
+        m = d + r - lag if r > lag else d
+        if m > n:
+            m = n
+        span = ps[m] - ps[d]
+        return (iw[m] - iw[d]) - (d - lag) * span + r * (total - ps[m])
+
+    closed = [big_d * (total - x) for x in ps]
+    cold_bound, cold, warm = [], [], []
+    reach = {0}
+    for depth in range(k):
+        r = (k - depth - 1) * big_d
+        cb = [0] * (n + 1)
+        rows = ([None] * (n + 1), [None] * (n + 1))
+        ahead = set(reach)
+        for d in reach:
+            b = tail(d, r, small_s) if r else 0
+            cb[d] = b
+            for row, avail in zip(rows, (big_d - small_s, big_d)):
+                e = d + avail if d + avail < n else n
+                span = ps[e] - ps[d]
+                # departer t leaves at in-block tick (D - avail + 1) + t
+                # and skips paying for avail - t ticks
+                saved = (iw[e] - iw[d]) - (d + avail) * span
+                row[d] = (saved + (tail(e, r, 0) if r else 0) - b, saved, e)
+                ahead.add(e)
+        cold_bound.append(cb)
+        cold.append(rows[0])
+        warm.append(rows[1])
+        reach = ahead
+    return closed, cold_bound, cold, warm
 
 
 def optimize_schedule(
@@ -116,126 +203,111 @@ def optimize_schedule(
 
     Returns the lexicographically smallest schedule among those of
     minimal rollout cost. Search state is incremental: per-path departed
-    counts and green ages, with block costs and bounds evaluated in O(1)
-    per path from prefix sums.
+    counts, the mask of paths still queued, and the warm set (the
+    previous phase's mask, since slow_start < phase_ticks). Block costs
+    and the slow-start-aware bound come from per-path tables built once
+    per call, so a candidate costs one lookup per open queued path.
     """
     t0 = time.perf_counter()
     spec.validate_snapshot(s)
     dyn = cfg.dynamics
-    big_d, small_s = dyn.phase_ticks, dyn.slow_start
+    big_d = dyn.phase_ticks
     k = cfg.horizon
+    wmax = cfg.wmax
     paths = spec.num_paths
 
     base = _base_phases(spec, cfg)
     if not base:
         raise NoFeasibleScheduleError("no feasible candidate phase exists")
 
-    pri = [[v.priority for v in q] for q in s.queues]
-    w0 = [[v.wait for v in q] for q in s.queues]
     lens = [len(q) for q in s.queues]
-    # ps[i][x] = sum of the first x priorities on path i;
-    # iw[i][x] = sum of position-weighted priorities, positions 0-based
-    ps = []
-    iw = []
-    for q in pri:
-        a = [0]
-        b = [0]
-        for j, p in enumerate(q):
-            a.append(a[-1] + p)
-            b.append(b[-1] + j * p)
-        ps.append(a)
-        iw.append(b)
-
-    def bound(d: list[int], r: int) -> int:
-        total = 0
-        for i in range(paths):
-            n = lens[i]
-            di = d[i]
-            m = di + r if di + r < n else n
-            span = ps[i][m] - ps[i][di]
-            total += (iw[i][m] - iw[i][di]) - di * span + r * (ps[i][n] - ps[i][m])
-        return total
-
-    def candidates_at(d: list[int], depth: int) -> tuple[Phase, ...]:
-        if cfg.wmax is None:
-            return base
-        elapsed = depth * big_d
-        target = -1
-        worst = -1
-        for i in range(paths):
-            di = d[i]
-            if di < lens[i]:
-                w = w0[i][di] + elapsed
-                if w >= cfg.wmax and w > worst:
-                    worst = w
-                    target = i
-        if target < 0:
-            return base
-        guarded = tuple(ph for ph in base if ph.is_open(target))
-        if not guarded:
-            raise NoFeasibleScheduleError(
-                f"no candidate phase opens starved path {target}"
-            )
-        return guarded
-
-    def apply_block(mask: int, d: list[int], ages: list[int]):
-        cost = 0
-        d2 = d.copy()
-        ages2 = ages.copy()
-        for i in range(paths):
-            n = lens[i]
-            di = d[i]
-            remaining_pri = ps[i][n] - ps[i][di]
-            if mask >> i & 1:
-                a = ages[i]
-                # ticks of this block during which path i may depart
-                avail = big_d if a >= small_s else big_d - small_s + a
-                m = n - di
-                if m > avail:
-                    m = avail
-                if m > 0:
-                    e = di + m
-                    span = ps[i][e] - ps[i][di]
-                    steps = (iw[i][e] - iw[i][di]) - di * span
-                    # departer t leaves at in-block tick (D - avail + 1) + t
-                    # and skips paying for avail - t ticks
-                    cost += big_d * remaining_pri - (avail * span - steps)
-                    d2[i] = e
-                else:
-                    cost += big_d * remaining_pri
-                ages2[i] = a + big_d
-            else:
-                cost += big_d * remaining_pri
-                ages2[i] = 0
-        return cost, d2, ages2
+    waits = [[v.wait for v in q] for q in s.queues]
+    closed, cold_bounds, colds, warms = zip(
+        *(_path_tables([v.priority for v in q], dyn, k) for q in s.queues)
+    )
+    # per depth: each path's cold bound row, then its open rows by warmth
+    levels = [
+        (
+            [b[depth] for b in cold_bounds],
+            ([c[depth] for c in colds], [w[depth] for w in warms]),
+        )
+        for depth in range(k)
+    ]
+    oldest = max((w for q in waits for w in q), default=-1)
+    guarded: dict[int, tuple[Phase, ...]] = {}
+    # indices of the set bits of a mask, filled on demand
+    bits: dict[int, tuple[int, ...]] = {}
 
     best_cost: int | None = None
     best_schedule: tuple[Phase, ...] | None = None
     nodes = 0
     chosen: list[Phase] = []
 
-    d0 = [0] * paths
-    ages0 = [small_s if prev_phase.is_open(i) else 0 for i in range(paths)]
-
-    def dfs(depth: int, accrued: int, d: list[int], ages: list[int]) -> None:
+    def dfs(depth: int, accrued: int, d: list[int], warm: int, live: int) -> None:
+        # warm: mask of paths open in the previous block; live: mask of
+        # paths with vehicles still queued
         nonlocal best_cost, best_schedule, nodes
-        if depth == k:
-            if best_cost is None or accrued < best_cost:
-                best_cost = accrued
-                best_schedule = tuple(chosen)
-            return
-        remaining = (k - depth - 1) * big_d
-        for ph in candidates_at(d, depth):
-            nodes += 1
-            block_cost, d2, ages2 = apply_block(ph.mask, d, ages)
-            acc = accrued + block_cost
-            if best_cost is not None and acc + bound(d2, remaining) >= best_cost:
+        cands = base
+        elapsed = depth * big_d
+        # no front wait can reach wmax before the oldest vehicle's does
+        if wmax is not None and oldest + elapsed >= wmax:
+            target = _guard_target(
+                [waits[i][d[i]] + elapsed if live >> i & 1 else None for i in range(paths)],
+                wmax,
+            )
+            if target is not None:
+                cands = guarded.get(target)
+                if cands is None:
+                    cands = guarded[target] = _phases_opening(base, target)
+        nodes += len(cands)
+        bound_row, rows = levels[depth]
+        queued = bits.get(live)
+        if queued is None:
+            queued = bits[live] = tuple(i for i in range(paths) if live >> i & 1)
+        closed_cost = 0
+        closed_total = 0
+        # each queued path's table entry if opened, and that entry's
+        # cost plus bound change on its own
+        opening = [None] * paths
+        change = [0] * paths
+        for i in queued:
+            di = d[i]
+            c = closed[i][di]
+            closed_cost += c
+            closed_total += c + bound_row[i][di]
+            entry = opening[i] = rows[warm >> i & 1][i][di]
+            change[i] = entry[0]
+        leaf = depth == k - 1
+        for ph in cands:
+            m = ph.mask & live
+            opened = bits.get(m)
+            if opened is None:
+                opened = bits[m] = tuple(i for i in range(paths) if m >> i & 1)
+            total = accrued + closed_total
+            for i in opened:
+                total += change[i]
+            if best_cost is not None and total >= best_cost:
                 continue
+            if leaf:
+                # bounds are 0 after the last block, so total is the cost
+                best_cost = total
+                best_schedule = (*chosen, ph)
+                continue
+            acc = accrued + closed_cost
+            d2 = d.copy()
+            live2 = live
+            for i in opened:
+                _, dc, e = opening[i]
+                acc += dc
+                d2[i] = e
+                if e == lens[i]:
+                    live2 &= ~(1 << i)
             chosen.append(ph)
-            dfs(depth + 1, acc, d2, ages2)
+            dfs(depth + 1, acc, d2, ph.mask, live2)
             chosen.pop()
 
-    dfs(0, 0, d0, ages0)
+    live0 = sum(1 << i for i in range(paths) if lens[i])
+    dfs(0, 0, [0] * paths, prev_phase.mask, live0)
     assert best_schedule is not None and best_cost is not None
     return Solution(best_schedule, best_cost, nodes, time.perf_counter() - t0)
 
@@ -296,7 +368,6 @@ def exhaustive_oracle(
             recurse(depth + 1, nxt, ages2, ph)
             prefix.pop()
 
-    ages0 = [dyn.slow_start if prev_phase.is_open(i) else 0 for i in range(spec.num_paths)]
-    recurse(0, s, ages0, prev_phase)
+    recurse(0, s, initial_green_ages(spec, prev_phase, dyn), prev_phase)
     assert best_schedule is not None and best_cost is not None
     return Solution(best_schedule, best_cost, nodes, time.perf_counter() - t0)

@@ -14,12 +14,15 @@ from greenlight import (
     Turn,
     VehicleRecord,
     candidate_phases,
+    enumerate_feasible_phases,
     exhaustive_oracle,
+    lower_bound,
     optimize_schedule,
     rollout_cost,
     standard_movements,
 )
 from greenlight.errors import InvalidSpecError, OracleTooLargeError
+from greenlight.solver import _path_tables
 
 
 def snapshot_with(spec, path_queues, tick=0):
@@ -192,21 +195,32 @@ def test_oracle_refuses_oversized_search():
         exhaustive_oracle(spec, spec.empty_snapshot(), spec.all_closed(), cfg, cap=100)
 
 
+def random_junction(rng, paths, max_queue_len):
+    """A junction of `paths` paths, each pair conflicting with probability 0.4."""
+    data = np.zeros((paths, paths), dtype=bool)
+    for i in range(paths):
+        for j in range(i + 1, paths):
+            if rng.random() < 0.4:
+                data[i, j] = data[j, i] = True
+    return IntersectionSpec(
+        arms=4,
+        paths=standard_movements(4)[:paths],
+        max_queue_len=max_queue_len,
+        conflicts=ConflictMatrix(data),
+    )
+
+
+# (slow_start, phase_ticks) pairs drawn by random_instance; (1, 4) is the
+# default, and the pairs with slow_start > 0 are where warm and cold
+# paths differ
+TIMINGS = ((0, 1), (0, 2), (1, 2), (1, 4), (2, 4))
+
+
 def random_instance(rng):
     """One random small instance: spec, snapshot, prev phase, solver config."""
     p = int(rng.integers(2, 6))
     max_queue_len = int(rng.integers(1, 4))
-    data = np.zeros((p, p), dtype=bool)
-    for i in range(p):
-        for j in range(i + 1, p):
-            if rng.random() < 0.4:
-                data[i, j] = data[j, i] = True
-    spec = IntersectionSpec(
-        arms=4,
-        paths=standard_movements(4)[:p],
-        max_queue_len=max_queue_len,
-        conflicts=ConflictMatrix(data),
-    )
+    spec = random_junction(rng, p, max_queue_len)
     queues = []
     for _ in range(p):
         n = int(rng.integers(0, max_queue_len + 1))
@@ -217,7 +231,7 @@ def random_instance(rng):
             )
         )
     s = TrafficSnapshot(0, tuple(queues))
-    slow_start, phase_ticks = ((0, 1), (0, 2), (1, 2))[int(rng.integers(0, 3))]
+    slow_start, phase_ticks = TIMINGS[int(rng.integers(0, len(TIMINGS)))]
     dyn = DynamicsConfig(phase_ticks=phase_ticks, slow_start=slow_start)
     maximal_only = bool(rng.integers(0, 2))
     cfg = SolverConfig(
@@ -252,6 +266,72 @@ def test_search_matches_oracle_on_random_instances():
         assert sol.nodes_explored <= orc.nodes_explored
         replay, _ = rollout_cost(spec, s, sol.schedule, prev, cfg.dynamics)
         assert replay == sol.cost
+
+
+def guard_active_instance(rng, spec, horizon):
+    """A snapshot whose guard fires at the root, entered from an open phase.
+
+    Other waits lie in [30, 90), so some fronts cross wmax only at a
+    deeper block; one random path is made overdue at the root.
+    """
+    queues = []
+    for _ in range(spec.num_paths):
+        n = int(rng.integers(0, spec.max_queue_len + 1))
+        queues.append(
+            [VehicleRecord(int(rng.integers(1, 6)), int(rng.integers(30, 90))) for _ in range(n)]
+        )
+    overdue = int(rng.integers(0, spec.num_paths))
+    front = VehicleRecord(int(rng.integers(1, 6)), int(rng.integers(60, 90)))
+    queues[overdue] = [front] + queues[overdue][: spec.max_queue_len - 1]
+    s = TrafficSnapshot(0, tuple(tuple(q) for q in queues))
+    feasible = enumerate_feasible_phases(spec.conflicts, maximal_only=False)
+    prev = feasible[int(rng.integers(0, len(feasible)))]
+    return s, prev, SolverConfig(horizon=horizon, wmax=60)
+
+
+@pytest.mark.parametrize("horizon", [2, 3])
+def test_search_matches_oracle_with_guard_at_default_timing(horizon):
+    # default dynamics (D=4, S=1), so warm and cold paths differ; the
+    # guard fires at the root and may retarget deeper; prev is open
+    rng = np.random.default_rng(4100 + horizon)
+    specs = [
+        random_junction(rng, int(rng.integers(3, 7)), int(rng.integers(2, 5)))
+        for _ in range(25)
+    ]
+    specs += [IntersectionSpec.standard(max_queue_len=4)] * 8
+    for spec in specs:
+        s, prev, cfg = guard_active_instance(rng, spec, horizon)
+        assert prev.mask
+        assert max(q[0].wait for q in s.queues if q) >= cfg.wmax
+        sol = optimize_schedule(spec, s, prev, cfg)
+        orc = exhaustive_oracle(spec, s, prev, cfg)
+        assert sol.schedule == orc.schedule
+        assert sol.cost == orc.cost
+        assert sol.nodes_explored <= orc.nodes_explored
+
+
+def test_search_bound_is_admissible_and_above_lower_bound():
+    # the bound the search adds after a first block, read from the path
+    # tables as the search reads it, against the exact cheapest
+    # continuation: never above it, never below lower_bound
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        spec, s, prev, cfg = random_instance(rng)
+        dyn = cfg.dynamics
+        rest = int(rng.integers(1, 3))
+        tables = [_path_tables([v.priority for v in q], dyn, rest + 1) for q in s.queues]
+        # maximal continuations reach the unrestricted optimum
+        free = SolverConfig(horizon=rest, wmax=None, dynamics=dyn)
+        for first in enumerate_feasible_phases(spec.conflicts, maximal_only=False):
+            bound = 0
+            for i, (_, cold_bound, cold, warm) in enumerate(tables):
+                bound += cold_bound[0][0]
+                if first.is_open(i):
+                    both, cost, _ = (warm if prev.is_open(i) else cold)[0][0]
+                    bound += both - cost
+            _, after = rollout_cost(spec, s, (first,), prev, dyn)
+            best = exhaustive_oracle(spec, after, first, free).cost
+            assert lower_bound(after, rest * dyn.phase_ticks) <= bound <= best
 
 
 def test_maximal_restriction_preserves_optimal_cost():
