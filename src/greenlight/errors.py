@@ -33,6 +33,10 @@ class OracleTooLargeError(GreenlightError):
     """Full enumeration would exceed the configured cap."""
 
 
+class TooManyPhasesError(GreenlightError):
+    """The junction has more feasible phases than enumeration allows."""
+
+
 class InvalidCycleError(GreenlightError):
     """A fixed cycle fails to cover every path."""
 

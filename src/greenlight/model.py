@@ -4,9 +4,13 @@ An intersection has A arms labelled clockwise. Every path is a movement
 (entry arm, turn) and owns one FIFO vehicle queue of bounded length L.
 Two paths conflict when their trajectories cross inside the junction;
 a phase (bit vector over paths) is feasible when no two open paths
-conflict. Queue state round-trips through a (P, 2, L) integer array:
-plane 0 holds priorities front to back, plane 1 the waiting times, and
-unused slots are zero in both planes.
+conflict. Neither phase list scans the 2^P subsets: the maximal phases
+are the maximal cliques of the compatibility graph, and all feasible
+phases come from a recursion over independent sets whose work grows
+with the number found, capped at MAX_FEASIBLE_PHASES. Both lists are
+cached on the ConflictMatrix. Queue state round-trips through a
+(P, 2, L) integer array: plane 0 holds priorities front to back, plane
+1 the waiting times, and unused slots are zero in both planes.
 """
 
 from __future__ import annotations
@@ -22,11 +26,15 @@ from .errors import (
     InvalidGeometryError,
     InvalidSpecError,
     MalformedArrayError,
+    TooManyPhasesError,
 )
 
 MIN_ARMS = 3
 DEFAULT_ARMS = 4
 DEFAULT_MAX_QUEUE_LEN = 21
+# All-feasible enumeration stops past this many phases: standard(8) has
+# 115,967 and fits, standard(9) has 498,175 and does not.
+MAX_FEASIBLE_PHASES = 1 << 17
 
 
 class Turn(str, Enum):
@@ -96,10 +104,6 @@ class Phase:
     def open_paths(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.width) if self.mask >> i & 1)
 
-    @property
-    def count(self) -> int:
-        return bin(self.mask).count("1")
-
     def __str__(self) -> str:
         return "{" + ",".join(map(str, self.open_paths())) + "}"
 
@@ -125,7 +129,8 @@ class ConflictMatrix:
     """Symmetric boolean P x P matrix of pairwise path conflicts.
 
     Instances are immutable values; derived structures (per-path conflict
-    bit masks, the maximal-phase list) are computed lazily and cached.
+    bit masks, the maximal-phase list, the all-feasible list) are computed
+    lazily, at most once per matrix, and cached.
     """
 
     def __init__(self, data: np.ndarray):
@@ -142,6 +147,7 @@ class ConflictMatrix:
         self._data.setflags(write=False)
         self._neighbor_masks: tuple[int, ...] | None = None
         self._maximal: tuple[Phase, ...] | None = None
+        self._feasible: tuple[Phase, ...] | None = None
 
     @property
     def paths(self) -> int:
@@ -171,9 +177,22 @@ class ConflictMatrix:
         return self._neighbor_masks
 
     def maximal_phases(self) -> tuple[Phase, ...]:
+        """Phases no path can be added to, in ascending mask order."""
         if self._maximal is None:
-            self._maximal = tuple(enumerate_feasible_phases(self, maximal_only=True))
+            masks = _maximal_independent_sets(self.neighbor_masks())
+            self._maximal = tuple(Phase(m, self.paths) for m in masks)
         return self._maximal
+
+    def feasible_phases(self) -> tuple[Phase, ...]:
+        """All nonempty feasible phases in ascending mask order.
+
+        Raises TooManyPhasesError once more than MAX_FEASIBLE_PHASES are
+        found.
+        """
+        if self._feasible is None:
+            masks = _independent_sets(self.neighbor_masks())
+            self._feasible = tuple(Phase(m, self.paths) for m in masks)
+        return self._feasible
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ConflictMatrix) and np.array_equal(
@@ -245,37 +264,90 @@ def is_feasible_phase(phase: Phase, conflicts: ConflictMatrix) -> bool:
     return True
 
 
+def _independent_sets(neighbors: tuple[int, ...]) -> list[int]:
+    """Masks of all nonempty independent sets, ascending.
+
+    Each step adds the lowest path still free and drops that path's
+    conflicts (and every lower path) from the free set, so every set is
+    reached exactly once and the work grows with the number of sets.
+    Raises TooManyPhasesError as soon as more than MAX_FEASIBLE_PHASES
+    are found.
+    """
+    out: list[int] = []
+
+    def grow(mask: int, free: int) -> None:
+        while free:
+            low = free & -free
+            free ^= low
+            grown = mask | low
+            out.append(grown)
+            if len(out) > MAX_FEASIBLE_PHASES:
+                raise TooManyPhasesError(
+                    f"more than {MAX_FEASIBLE_PHASES} feasible phases on {len(neighbors)} paths; "
+                    "list maximal phases instead"
+                )
+            grow(grown, free & ~neighbors[low.bit_length() - 1])
+
+    grow(0, (1 << len(neighbors)) - 1)
+    out.sort()
+    return out
+
+
+def _maximal_independent_sets(neighbors: tuple[int, ...]) -> list[int]:
+    """Masks of all maximal independent sets, ascending.
+
+    They are the maximal cliques of the compatibility graph, found by
+    Bron-Kerbosch with Tomita pivoting (Bron & Kerbosch 1973; Tomita,
+    Tanaka & Takahashi 2006). Branching only on the candidates that are
+    not compatible with the pivot bounds the worst case by O(3^(P/3));
+    on the standard junctions the work tracks the number of cliques.
+    """
+    full = (1 << len(neighbors)) - 1
+    compatible = [full & ~n & ~(1 << i) for i, n in enumerate(neighbors)]
+    out: list[int] = []
+
+    def expand(clique: int, cand: int, excluded: int) -> None:
+        if not cand:
+            if not excluded:
+                out.append(clique)
+            return
+        # pivot: the vertex compatible with the most remaining candidates
+        pool = cand | excluded
+        best = -1
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            u = low.bit_length() - 1
+            reach = (cand & compatible[u]).bit_count()
+            if reach > best:
+                best, pivot = reach, u
+        branch = cand & ~compatible[pivot]
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            v = low.bit_length() - 1
+            expand(clique | low, cand & compatible[v], excluded & compatible[v])
+            cand ^= low
+            excluded |= low
+
+    expand(0, full, 0)
+    out.sort()
+    return out
+
+
 def enumerate_feasible_phases(
     conflicts: ConflictMatrix, maximal_only: bool = False
 ) -> list[Phase]:
     """All nonempty feasible phases in ascending bit-vector order.
 
     With `maximal_only`, only phases to which no further path can be
-    added. Enumeration is exponential in P by nature; intended for the
-    small path counts of single junctions.
+    added. Returns a fresh list copied from the matrix's cached
+    `maximal_phases()` or `feasible_phases()`; the latter raises
+    TooManyPhasesError past MAX_FEASIBLE_PHASES phases.
     """
-    p = conflicts.paths
-    neighbors = conflicts.neighbor_masks()
-    out = []
-    for mask in range(1, 1 << p):
-        feasible = True
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            if neighbors[i] & mask:
-                feasible = False
-                break
-            m &= m - 1
-        if not feasible:
-            continue
-        if maximal_only:
-            extendable = any(
-                not (mask >> j & 1) and not (neighbors[j] & mask) for j in range(p)
-            )
-            if extendable:
-                continue
-        out.append(Phase(mask, p))
-    return out
+    if maximal_only:
+        return list(conflicts.maximal_phases())
+    return list(conflicts.feasible_phases())
 
 
 @dataclass(frozen=True)
@@ -365,9 +437,6 @@ class IntersectionSpec:
     @property
     def num_paths(self) -> int:
         return len(self.paths)
-
-    def exit_arms(self) -> tuple[int, ...]:
-        return tuple(exit_arm(m, self.arms, self.driving_side) for m in self.paths)
 
     def empty_snapshot(self, tick: int = 0) -> TrafficSnapshot:
         return TrafficSnapshot(tick=tick, queues=tuple(() for _ in self.paths))

@@ -37,7 +37,6 @@ from .model import (
     IntersectionSpec,
     Phase,
     TrafficSnapshot,
-    enumerate_feasible_phases,
 )
 
 DEFAULT_ORACLE_CAP = 1_000_000
@@ -83,7 +82,7 @@ class Solution:
 def _base_phases(spec: IntersectionSpec, cfg: SolverConfig) -> tuple[Phase, ...]:
     if cfg.maximal_only:
         return spec.conflicts.maximal_phases()
-    return enumerate_feasible_phases(spec.conflicts, maximal_only=False)
+    return spec.conflicts.feasible_phases()
 
 
 def _guard_target(front_waits: list[int | None], wmax: int | None) -> int | None:

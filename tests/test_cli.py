@@ -2,10 +2,12 @@
 
 import json
 import re
+import time
 from pathlib import Path
 
 import greenlight.cli as cli
 from greenlight import (
+    MAX_FEASIBLE_PHASES,
     IntersectionSpec,
     SolverConfig,
     exhaustive_oracle,
@@ -144,6 +146,21 @@ def test_phases_maximal_listing(capsys):
     lines = out.splitlines()
     assert lines[-1] == "count: 12"
     assert lines[0] == "{0,1,2,3,6,9}"
+
+
+def test_phases_on_nine_arms_exits_2_fast_but_maximal_lists(capsys, tmp_path):
+    # 27 paths: the all-feasible list passes the cap, the maximal one is small
+    big = tmp_path / "nine.json"
+    save_instance(IntersectionSpec.standard(9), big)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "phases", "--instance", str(big))
+    assert code == 2
+    assert time.perf_counter() - t0 < 5.0
+    assert str(MAX_FEASIBLE_PHASES) in err
+    assert out == ""
+    code, out, _ = run_cli(capsys, "phases", "--instance", str(big), "--maximal")
+    assert code == 0
+    assert out.splitlines()[-1] == "count: 156"
 
 
 def test_validate_ok_lists_conflict_pairs(capsys):

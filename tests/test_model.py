@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenlight import (
+    MAX_FEASIBLE_PHASES,
     ConflictMatrix,
     DrivingSide,
     IntersectionSpec,
@@ -29,6 +30,7 @@ from greenlight.errors import (
     InvalidGeometryError,
     InvalidSpecError,
     MalformedArrayError,
+    TooManyPhasesError,
 )
 
 
@@ -182,13 +184,21 @@ def test_complete_conflict_graph_leaves_singletons():
 
 def brute_force_feasible_masks(cm):
     """Filter every nonempty subset by the pairwise conflict test."""
-    p = cm.paths
-    out = []
-    for mask in range(1, 1 << p):
-        bits = [i for i in range(p) if mask >> i & 1]
-        if all(not cm.conflicts(i, j) for i, j in combinations(bits, 2)):
-            out.append(mask)
-    return out
+    masks = np.arange(1, 1 << cm.paths, dtype=np.int64)
+    keep = np.ones(masks.size, dtype=bool)
+    for i, j in combinations(range(cm.paths), 2):
+        if cm.conflicts(i, j):
+            keep &= (masks >> i & masks >> j & 1) == 0
+    return masks[keep].tolist()
+
+
+def brute_force_maximal_masks(cm, feasible_masks):
+    """Keep the feasible masks that no single further path can extend."""
+    feasible = np.array(feasible_masks, dtype=np.int64)
+    keep = np.ones(feasible.size, dtype=bool)
+    for i in range(cm.paths):
+        keep &= ~np.isin(feasible | 1 << i, feasible) | (feasible >> i & 1 == 1)
+    return feasible[keep].tolist()
 
 
 def test_default_feasible_count_matches_subset_oracle():
@@ -279,25 +289,70 @@ def test_property_feasibility_is_independent_set(cm, raw_mask):
     assert is_feasible_phase(phase, cm) == independent
 
 
-@given(conflict_matrix_strategy())
+@given(conflict_matrix_strategy(max_paths=10))
 @settings(max_examples=50)
 def test_property_enumeration_matches_subset_filter(cm):
     phases = enumerate_feasible_phases(cm, maximal_only=False)
     assert [p.mask for p in phases] == brute_force_feasible_masks(cm)
 
 
-@given(conflict_matrix_strategy())
+@given(conflict_matrix_strategy(max_paths=10))
 @settings(max_examples=50)
 def test_property_maximal_phases_are_maximal(cm):
-    feasible = set(brute_force_feasible_masks(cm))
-    for phase in enumerate_feasible_phases(cm, maximal_only=True):
-        assert phase.mask in feasible
-        grown = [
-            phase.mask | (1 << i)
-            for i in range(cm.paths)
-            if not phase.is_open(i)
-        ]
-        assert all(g not in feasible for g in grown)
+    # the whole list, order included: sound and complete
+    expected = brute_force_maximal_masks(cm, brute_force_feasible_masks(cm))
+    phases = enumerate_feasible_phases(cm, maximal_only=True)
+    assert [p.mask for p in phases] == expected
+
+
+@pytest.mark.parametrize("arms", [3, 4, 5, 6])
+def test_maximal_phases_match_subset_filter_on_standard_junctions(arms):
+    for side in DrivingSide:
+        for merge in (False, True):
+            cm = IntersectionSpec.standard(
+                arms, driving_side=side, merge_conflicts=merge
+            ).conflicts
+            expected = brute_force_maximal_masks(cm, brute_force_feasible_masks(cm))
+            assert [p.mask for p in cm.maximal_phases()] == expected
+
+
+@pytest.mark.parametrize("arms", [3, 4, 5, 6, 7, 8])
+def test_maximal_phases_are_the_maximal_feasible_phases(arms):
+    cm = IntersectionSpec.standard(arms).conflicts
+    feasible = [p.mask for p in cm.feasible_phases()]
+    expected = brute_force_maximal_masks(cm, feasible)
+    assert [p.mask for p in cm.maximal_phases()] == expected
+
+
+@pytest.mark.parametrize(
+    "arms,feasible,maximal",
+    [(7, 27_007, 49), (8, 115_967, 92), (9, None, 156), (10, None, 279)],
+)
+def test_standard_phase_counts(arms, feasible, maximal):
+    cm = IntersectionSpec.standard(arms).conflicts
+    assert len(cm.maximal_phases()) == maximal
+    if feasible is not None:
+        assert len(cm.feasible_phases()) == feasible
+
+
+def test_feasible_phase_cap_fits_eight_arms_not_nine():
+    assert 115_967 <= MAX_FEASIBLE_PHASES < 498_175
+    cm = IntersectionSpec.standard(9).conflicts
+    with pytest.raises(TooManyPhasesError, match=str(MAX_FEASIBLE_PHASES)):
+        cm.feasible_phases()
+    with pytest.raises(TooManyPhasesError):
+        enumerate_feasible_phases(cm, maximal_only=False)
+
+
+def test_phase_lists_are_built_once_and_copied_out():
+    cm = IntersectionSpec.standard().conflicts
+    assert cm.feasible_phases() is cm.feasible_phases()
+    assert cm.maximal_phases() is cm.maximal_phases()
+    listed = enumerate_feasible_phases(cm, maximal_only=False)
+    assert isinstance(listed, list)
+    listed.clear()
+    assert len(enumerate_feasible_phases(cm, maximal_only=False)) == 335
+    assert len(cm.feasible_phases()) == 335
 
 
 def small_spec():

@@ -21,7 +21,7 @@ from greenlight import (
     rollout_cost,
     standard_movements,
 )
-from greenlight.errors import InvalidSpecError, OracleTooLargeError
+from greenlight.errors import InvalidSpecError, OracleTooLargeError, TooManyPhasesError
 from greenlight.solver import _path_tables
 
 
@@ -80,6 +80,19 @@ def test_candidates_restricted_to_maximal():
     cfg = SolverConfig(maximal_only=True)
     phases = candidate_phases(spec, spec.empty_snapshot(), spec.all_closed(), cfg)
     assert [p.mask for p in phases] == [7]
+
+
+def test_all_feasible_candidates_fail_fast_on_nine_arms():
+    # standard(9) has 498,175 feasible phases, past the enumeration cap;
+    # its 156 maximal phases still plan
+    spec = IntersectionSpec.standard(9, max_queue_len=2)
+    s = snapshot_with(spec, {0: [(1, 0)]})
+    with pytest.raises(TooManyPhasesError):
+        optimize_schedule(
+            spec, s, spec.all_closed(), SolverConfig(horizon=1, maximal_only=False)
+        )
+    sol = optimize_schedule(spec, s, spec.all_closed(), SolverConfig(horizon=1))
+    assert sol.schedule[0].is_open(0)
 
 
 def test_guard_forces_overdue_path_open():
