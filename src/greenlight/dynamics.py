@@ -9,6 +9,7 @@ therefore accumulate priority-weighted completed waiting ticks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import ConstraintViolationError, DimensionError, InvalidSpecError
 from .model import (
@@ -55,6 +56,18 @@ class StepOutcome:
     tick_cost: int = 0
 
 
+@lru_cache(maxsize=1 << 16)
+def _record(priority: int, wait: int) -> VehicleRecord:
+    """The one shared record for a (priority, wait) pair.
+
+    Records are immutable values, so every queued vehicle with the same
+    pair can hold the same instance; a miss builds it through the
+    validating constructor. The bound keeps the memo small however long
+    waits grow.
+    """
+    return VehicleRecord(priority, wait)
+
+
 def step(
     spec: IntersectionSpec,
     s: TrafficSnapshot,
@@ -71,6 +84,10 @@ def step(
     departing vehicle is recorded with its wait as of this tick and does
     not pay for the tick in which it leaves. The caller threads green ages
     across ticks; ages of closed paths are ignored.
+
+    Aged vehicles are looked up in a bounded memo keyed on
+    (priority, wait + 1) instead of being rebuilt, so a tick costs one
+    lookup per queued vehicle; the records compare equal to fresh ones.
     """
     spec.validate_snapshot(s)
     if len(green_age) != spec.num_paths:
@@ -80,21 +97,19 @@ def step(
     if not is_feasible_phase(phase, spec.conflicts):
         raise ConstraintViolationError(f"phase {phase} opens conflicting paths")
 
+    mask = phase.mask
+    slow_start = cfg.slow_start
     departed = []
     next_queues = []
-    tick_cost = 0
     for i, q in enumerate(s.queues):
-        rest = q
-        if q and phase.is_open(i) and green_age[i] >= cfg.slow_start:
+        if q and mask >> i & 1 and green_age[i] >= slow_start:
             departed.append((i, q[0]))
-            rest = q[1:]
-        aged = tuple(VehicleRecord(v.priority, v.wait + 1) for v in rest)
-        tick_cost += sum(v.priority for v in aged)
-        next_queues.append(aged)
+            q = q[1:]
+        next_queues.append(tuple([_record(v.priority, v.wait + 1) for v in q]))
     return StepOutcome(
         next=TrafficSnapshot(tick=s.tick + 1, queues=tuple(next_queues)),
         departed=tuple(departed),
-        tick_cost=tick_cost,
+        tick_cost=sum([v.priority for q in next_queues for v in q]),
     )
 
 
@@ -126,12 +141,12 @@ def rollout_cost(
     total = 0
     state = s
     for phase in schedule:
+        mask = phase.mask
         for _ in range(cfg.phase_ticks):
             out = step(spec, state, phase, ages, cfg)
             total += out.tick_cost
             state = out.next
-            for i in range(spec.num_paths):
-                ages[i] = ages[i] + 1 if phase.is_open(i) else 0
+            ages = [a + 1 if mask >> i & 1 else 0 for i, a in enumerate(ages)]
     return total, state
 
 

@@ -10,7 +10,7 @@ the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidCycleError
@@ -30,15 +30,24 @@ class PolicyKind(str, Enum):
 class ControllerState:
     """Mutable per-episode controller context.
 
-    green_age is meaningful only for paths open in prev_phase; closed
-    paths are tracked as zero. f2_cycle is used by F2 only. decision_log
-    records every (tick, phase) the controller emitted.
+    prev_phase is the phase applied in the last block (all red before the
+    first). f2_cycle is used by F2 only; a nonempty cycle must open every
+    path at least once, checked once here rather than on every decision.
     """
 
     prev_phase: Phase
-    green_age: list[int]
     f2_cycle: tuple[Phase, ...] = ()
-    decision_log: list[tuple[int, Phase]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not self.f2_cycle:
+            return
+        width = self.f2_cycle[0].width
+        covered = 0
+        for ph in self.f2_cycle:
+            covered |= ph.mask
+        if covered != (1 << width) - 1:
+            missing = [i for i in range(width) if not covered >> i & 1]
+            raise InvalidCycleError(f"f2 cycle never opens paths {missing}")
 
 
 def default_f2_cycle(spec: IntersectionSpec) -> tuple[Phase, ...]:
@@ -47,13 +56,9 @@ def default_f2_cycle(spec: IntersectionSpec) -> tuple[Phase, ...]:
 
 
 def make_controller_state(spec: IntersectionSpec, policy: PolicyKind) -> ControllerState:
-    """Fresh controller context: everything red, ages zero."""
+    """Fresh controller context: everything red."""
     cycle = default_f2_cycle(spec) if policy is PolicyKind.F2 else ()
-    return ControllerState(
-        prev_phase=spec.all_closed(),
-        green_age=[0] * spec.num_paths,
-        f2_cycle=cycle,
-    )
+    return ControllerState(prev_phase=spec.all_closed(), f2_cycle=cycle)
 
 
 def decide_horizon_opt(
@@ -92,15 +97,11 @@ def decide_f1(
 
 
 def decide_f2(tick: int, st: ControllerState, phase_ticks: int) -> Phase:
-    """Fixed-time baseline: rotate the cycle, one phase per block."""
+    """Fixed-time baseline: rotate the cycle, one phase per block.
+
+    The cycle's path coverage was checked when the state was built.
+    """
     cycle = st.f2_cycle
     if not cycle:
         raise InvalidCycleError("f2 cycle is empty")
-    width = cycle[0].width
-    covered = 0
-    for ph in cycle:
-        covered |= ph.mask
-    if covered != (1 << width) - 1:
-        missing = [i for i in range(width) if not covered >> i & 1]
-        raise InvalidCycleError(f"f2 cycle never opens paths {missing}")
     return cycle[(tick // phase_ticks) % len(cycle)]

@@ -9,7 +9,6 @@ bit-identical episodes on any platform.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -165,21 +164,22 @@ def append_arrivals(
     s: TrafficSnapshot,
     arrivals: tuple[tuple[VehicleRecord, ...], ...],
 ) -> tuple[TrafficSnapshot, int]:
-    """Append arrivals to queues with room; reject the rest, counted."""
+    """Append arrivals to queues with room; reject the rest, counted.
+
+    Only queues that received an arrival are rebuilt; the others are
+    shared with `s`.
+    """
     if len(arrivals) != spec.num_paths:
         raise InvalidSpecError(
             f"arrivals cover {len(arrivals)} paths, expected {spec.num_paths}"
         )
     rejected = 0
-    queues = []
-    for q, incoming in zip(s.queues, arrivals):
-        q = list(q)
-        for rec in incoming:
-            if len(q) < spec.max_queue_len:
-                q.append(rec)
-            else:
-                rejected += 1
-        queues.append(tuple(q))
+    queues = list(s.queues)
+    for i, incoming in enumerate(arrivals):
+        if incoming:
+            kept = tuple(incoming[: max(spec.max_queue_len - len(queues[i]), 0)])
+            queues[i] += kept
+            rejected += len(incoming) - len(kept)
     return TrafficSnapshot(tick=s.tick, queues=tuple(queues)), rejected
 
 
@@ -191,10 +191,13 @@ def run_episode(
     """Drive one policy through one seeded episode.
 
     A decision is taken every phase_ticks ticks from the fresh snapshot;
-    dynamics advance one tick at a time; in Steady mode arrivals are
-    appended after every tick. Drain episodes end when all queues empty,
-    or hit the safety cap and report terminated=False. The wait log
-    records one row per departed vehicle in departure order.
+    dynamics advance one tick at a time through `step`, called once per
+    tick with the snapshot as its second argument; in Steady mode
+    arrivals are appended after every tick. Drain episodes end when all
+    queues empty, or hit the safety cap and report terminated=False. The
+    wait log records one row per departed vehicle in departure order. A
+    vehicle's wait counts every tick since it joined its queue, so its
+    enter tick is the departure tick minus its wait.
     """
     spec = cfg.spec
     dyn = cfg.dynamics
@@ -207,7 +210,6 @@ def run_episode(
     state = seed_initial_queues(cfg, rng)
     st: ControllerState = make_controller_state(spec, policy)
     maximal = spec.conflicts.maximal_phases()
-    enter: list[deque[int]] = [deque([0] * len(q)) for q in state.queues]
     ages = [0] * spec.num_paths
     log: list[WaitLogEntry] = []
     rejected = 0
@@ -232,7 +234,6 @@ def run_episode(
                 phase = decide_f1(state, spec.conflicts, maximal)
             else:
                 phase = decide_f2(t, st, dyn.phase_ticks)
-            st.decision_log.append((t, phase))
 
         out = step(spec, state, phase, ages, dyn)
         for i, rec in out.departed:
@@ -242,24 +243,20 @@ def run_episode(
                     policy=policy.value,
                     path=i,
                     priority=rec.priority,
-                    enter_tick=enter[i].popleft(),
+                    enter_tick=t - rec.wait,
                     exit_tick=t,
                     wait_ticks=rec.wait,
                 )
             )
-        for i in range(spec.num_paths):
-            ages[i] = ages[i] + 1 if phase.is_open(i) else 0
+        mask = phase.mask
+        ages = [a + 1 if mask >> i & 1 else 0 for i, a in enumerate(ages)]
         state = out.next
         st.prev_phase = phase
 
         if cfg.mode is SimMode.STEADY:
             arrivals = generate_arrivals(cfg, state.tick, rng)
-            before = [len(q) for q in state.queues]
             state, rej = append_arrivals(spec, state, arrivals)
             rejected += rej
-            for i, q in enumerate(state.queues):
-                if len(q) > before[i]:
-                    enter[i].append(state.tick)
 
     waits = [e.wait_ticks for e in log]
     mean = float(np.mean(waits)) if waits else 0.0

@@ -9,6 +9,8 @@ from greenlight import (
     IntersectionSpec,
     Movement,
     Phase,
+    PolicyKind,
+    SimConfig,
     TrafficSnapshot,
     Turn,
     VehicleRecord,
@@ -16,8 +18,10 @@ from greenlight import (
     initial_green_ages,
     lower_bound,
     rollout_cost,
+    run_episode,
     step,
 )
+from greenlight.dynamics import _record
 from greenlight.errors import (
     ConstraintViolationError,
     DimensionError,
@@ -292,6 +296,59 @@ def test_property_rollout_equals_summed_tick_costs(raw_queues, k):
             ages = [a + 1 if phase.is_open(i) else 0 for i, a in enumerate(ages)]
     assert total == acc
     assert final == cur
+
+
+def reference_step(spec, s, phase, green_age, cfg):
+    """One tick written out plainly, building a fresh record per vehicle."""
+    departed = []
+    queues = []
+    tick_cost = 0
+    for i, q in enumerate(s.queues):
+        if q and phase.is_open(i) and green_age[i] >= cfg.slow_start:
+            departed.append((i, q[0]))
+            q = q[1:]
+        aged = tuple(VehicleRecord(v.priority, v.wait + 1) for v in q)
+        tick_cost += sum(v.priority for v in aged)
+        queues.append(aged)
+    return TrafficSnapshot(s.tick + 1, tuple(queues)), tuple(departed), tick_cost
+
+
+STEP_TIMINGS = (
+    DynamicsConfig(),
+    DynamicsConfig(phase_ticks=2, slow_start=1),
+    DynamicsConfig(phase_ticks=3, slow_start=2),
+)
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_property_step_matches_fresh_record_reference(data):
+    spec = spec12()
+    vehicle = st.tuples(st.sampled_from((1, 3, 10)), st.integers(0, 300))
+    raw = data.draw(st.lists(st.lists(vehicle, max_size=6), min_size=12, max_size=12))
+    s = snapshot_with(spec, dict(enumerate(raw)), tick=data.draw(st.integers(0, 1000)))
+    phase = data.draw(st.sampled_from(spec.conflicts.feasible_phases()))
+    ages = data.draw(st.lists(st.integers(0, 4), min_size=12, max_size=12))
+    cfg = data.draw(st.sampled_from(STEP_TIMINGS))
+
+    out = step(spec, s, phase, ages, cfg)
+    ref_next, ref_departed, ref_cost = reference_step(spec, s, phase, ages, cfg)
+    assert out.next == ref_next
+    assert out.departed == ref_departed
+    assert out.tick_cost == ref_cost
+    for q in out.next.queues:
+        for v in q:
+            assert type(v) is VehicleRecord
+            assert v == VehicleRecord(v.priority, v.wait)
+
+
+def test_record_memo_stays_bounded_after_drain_episode():
+    spec = IntersectionSpec.standard()
+    run_episode(SimConfig(spec=spec, intensity=1.0, seed=3), PolicyKind.F2)
+    info = _record.cache_info()
+    assert info.maxsize == 1 << 16
+    assert 0 < info.currsize <= info.maxsize
+    assert info.hits > 0
 
 
 @given(tri_snapshot_strategy(), st.integers(min_value=1, max_value=2))

@@ -49,7 +49,6 @@ def test_make_controller_state_starts_red():
     spec = spec12()
     st_ = make_controller_state(spec, PolicyKind.HORIZON)
     assert st_.prev_phase == spec.all_closed()
-    assert st_.green_age == [0] * 12
     assert st_.f2_cycle == ()
     assert make_controller_state(spec, PolicyKind.F2).f2_cycle == default_f2_cycle(spec)
 
@@ -127,7 +126,7 @@ def test_f2_index_arithmetic():
         for extra in ((1 << 1) | (1 << 2), (1 << 4) | (1 << 5),
                       (1 << 7) | (1 << 8), (1 << 10) | (1 << 11))
     )
-    st_ = ControllerState(prev_phase=spec.all_closed(), green_age=[0] * 12, f2_cycle=cycle)
+    st_ = ControllerState(prev_phase=spec.all_closed(), f2_cycle=cycle)
     assert decide_f2(9, st_, 4) == cycle[2]
     # wraps around after one full cycle
     assert decide_f2(16, st_, 4) == cycle[0]
@@ -138,7 +137,7 @@ def test_f2_singleton_cycle_gives_equal_green_time():
     # exactly D ticks per revolution
     spec = spec12()
     cycle = tuple(Phase(1 << i, 12) for i in range(12))
-    st_ = ControllerState(prev_phase=spec.all_closed(), green_age=[0] * 12, f2_cycle=cycle)
+    st_ = ControllerState(prev_phase=spec.all_closed(), f2_cycle=cycle)
     d = 4
     green = [0] * 12
     for tick in range(12 * d):
@@ -157,7 +156,6 @@ def test_f2_is_blind_to_queues():
     # cycle agree regardless of their history
     other = ControllerState(
         prev_phase=spec.conflicts.maximal_phases()[3],
-        green_age=[9] * 12,
         f2_cycle=st_.f2_cycle,
     )
     assert decide_f2(17, st_, 4) == decide_f2(17, other, 4)
@@ -165,13 +163,11 @@ def test_f2_is_blind_to_queues():
 
 def test_f2_rejects_cycle_missing_paths():
     spec = spec12()
-    partial = ControllerState(
-        prev_phase=spec.all_closed(),
-        green_age=[0] * 12,
-        f2_cycle=(spec.conflicts.maximal_phases()[0],),
-    )
     with pytest.raises(InvalidCycleError):
-        decide_f2(0, partial, 4)
+        ControllerState(
+            prev_phase=spec.all_closed(),
+            f2_cycle=(spec.conflicts.maximal_phases()[0],),
+        )
 
 
 def test_f2_rejects_empty_cycle():

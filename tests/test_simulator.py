@@ -1,6 +1,7 @@
 """Tests for the seeded episode runner and its statistics."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -252,3 +253,29 @@ def test_solver_dynamics_must_match_simulator():
     mismatched = SolverConfig(dynamics=DynamicsConfig(phase_ticks=2))
     with pytest.raises(InvalidSpecError):
         run_episode(cfg, PolicyKind.HORIZON, solver_cfg=mismatched)
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.F1, PolicyKind.F2])
+def test_steady_enter_ticks_replay_the_draw_order(policy):
+    # Deep queues reject nothing, so each path is a FIFO of the vehicles
+    # the documented draw order creates: the seeded queues at tick 0, then
+    # the arrivals appended after the step of tick t - 1, at tick t.
+    cfg = SimConfig(
+        spec=spec12(max_queue_len=60),
+        intensity=0.5,
+        seed=4,
+        mode=SimMode.STEADY,
+        episode_ticks=300,
+    )
+    stats, log = run_episode(cfg, policy)
+    assert stats.rejected_arrivals == 0
+    assert len(log) > 300
+
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    initial = seed_initial_queues(cfg, rng)
+    fifo = [deque((0, v.priority) for v in q) for q in initial.queues]
+    for tick in range(1, cfg.episode_ticks + 1):
+        for i, incoming in enumerate(generate_arrivals(cfg, tick, rng)):
+            fifo[i].extend((tick, v.priority) for v in incoming)
+    for e in log:
+        assert (e.enter_tick, e.priority) == fifo[e.path].popleft()
