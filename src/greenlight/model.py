@@ -129,8 +129,8 @@ class ConflictMatrix:
     """Symmetric boolean P x P matrix of pairwise path conflicts.
 
     Instances are immutable values; derived structures (per-path conflict
-    bit masks, the maximal-phase list, the all-feasible list) are computed
-    lazily, at most once per matrix, and cached.
+    bit masks, the maximal-phase list and its open paths, the all-feasible
+    list) are computed lazily, at most once per matrix, and cached.
     """
 
     def __init__(self, data: np.ndarray):
@@ -147,6 +147,7 @@ class ConflictMatrix:
         self._data.setflags(write=False)
         self._neighbor_masks: tuple[int, ...] | None = None
         self._maximal: tuple[Phase, ...] | None = None
+        self._maximal_paths: tuple[tuple[int, ...], ...] | None = None
         self._feasible: tuple[Phase, ...] | None = None
 
     @property
@@ -182,6 +183,12 @@ class ConflictMatrix:
             masks = _maximal_independent_sets(self.neighbor_masks())
             self._maximal = tuple(Phase(m, self.paths) for m in masks)
         return self._maximal
+
+    def maximal_open_paths(self) -> tuple[tuple[int, ...], ...]:
+        """Each maximal phase's open paths, aligned with maximal_phases()."""
+        if self._maximal_paths is None:
+            self._maximal_paths = tuple(ph.open_paths() for ph in self.maximal_phases())
+        return self._maximal_paths
 
     def feasible_phases(self) -> tuple[Phase, ...]:
         """All nonempty feasible phases in ascending mask order.

@@ -80,14 +80,22 @@ def decide_f1(
 
     Scans the maximal feasible phases in ascending bit-vector order and
     keeps the first one maximizing total queued vehicles over its open
-    paths, so ties go to the lexicographically smallest phase.
+    paths, so ties go to the lexicographically smallest phase. The open
+    paths of the matrix's own maximal phases come from its cache.
     """
-    phases = maximal_phases if maximal_phases is not None else conflicts.maximal_phases()
+    phases = conflicts.maximal_phases()
+    if maximal_phases is None or maximal_phases is phases:
+        paths = conflicts.maximal_open_paths()
+    else:
+        phases = maximal_phases
+        paths = [ph.open_paths() for ph in phases]
     counts = [len(q) for q in s.queues]
     best: Phase | None = None
     best_cover = -1
-    for ph in phases:
-        cover = sum(counts[i] for i in ph.open_paths())
+    for ph, open_paths in zip(phases, paths):
+        cover = 0
+        for i in open_paths:
+            cover += counts[i]
         if cover > best_cover:
             best_cover = cover
             best = ph

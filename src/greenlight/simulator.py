@@ -9,12 +9,14 @@ bit-identical episodes on any platform.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
-from .dynamics import DynamicsConfig, step
+from .dynamics import DynamicsConfig, _record, step
 from .errors import InvalidSpecError
 from .model import IntersectionSpec, TrafficSnapshot, VehicleRecord
 from .policies import (
@@ -125,18 +127,25 @@ def seed_initial_queues(cfg: SimConfig, rng: np.random.Generator | None = None) 
 
     Priorities are drawn path by path, front to back. Passing an rng lets
     an episode continue the same stream for its arrivals; otherwise a
-    generator is seeded from cfg.seed.
+    generator is seeded from cfg.seed. All uniforms come from one vector
+    draw, which yields the same doubles as one `draw_priority` call per
+    vehicle, and map to classes by the same inverse CDF.
     """
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
     fill = cfg.spec.fill_count(cfg.intensity)
-    queues = tuple(
-        tuple(
-            VehicleRecord(draw_priority(rng, cfg.priority_classes), 0)
-            for _ in range(fill)
-        )
-        for _ in range(cfg.spec.num_paths)
-    )
+    paths = cfg.spec.num_paths
+    classes = cfg.priority_classes
+    # cumulative sums in draw_priority's float order; the first class with
+    # u < cum wins, which is bisect_right's index, and the last class
+    # takes any u past the final sum
+    cums = list(accumulate(prob for _, prob in classes))
+    last = len(classes) - 1
+    records = [
+        _record(classes[min(bisect_right(cums, u), last)][0], 0)
+        for u in rng.random(paths * fill).tolist()
+    ]
+    queues = tuple(tuple(records[i * fill : (i + 1) * fill]) for i in range(paths))
     return TrafficSnapshot(tick=0, queues=queues)
 
 

@@ -196,6 +196,36 @@ def test_property_f1_coverage_is_maximal(counts):
         assert cover >= sum(counts[i] for i in phase.open_paths())
 
 
+def reference_f1(s, phases):
+    """The plain scan: first phase in list order with the most queued vehicles."""
+    best, best_cover = None, -1
+    for ph in phases:
+        cover = sum(len(s.queues[i]) for i in ph.open_paths())
+        if cover > best_cover:
+            best, best_cover = ph, cover
+    return best
+
+
+def test_f1_matches_reference_scan_on_random_queues():
+    # the cached open paths of the matrix's maximal phases, and a caller's
+    # own phase list, both pick what the plain scan picks, ties included
+    rng = np.random.default_rng(606)
+    specs = [IntersectionSpec.standard(a, max_queue_len=6) for a in (3, 4, 5)]
+    for spec in specs:
+        cm = spec.conflicts
+        maximal = cm.maximal_phases()
+        feasible = cm.feasible_phases()
+        for _ in range(60):
+            # few distinct lengths, so cover ties are common
+            counts = rng.integers(0, 3, size=spec.num_paths) * int(rng.integers(1, 4))
+            s = snapshot_with(spec, {i: [(1, 0)] * int(n) for i, n in enumerate(counts) if n})
+            assert decide_f1(s, cm) == reference_f1(s, maximal)
+            assert decide_f1(s, cm, maximal) == reference_f1(s, maximal)
+            assert decide_f1(s, cm, feasible) == reference_f1(s, feasible)
+        assert cm.maximal_open_paths() is cm.maximal_open_paths()
+        assert cm.maximal_open_paths() == tuple(ph.open_paths() for ph in maximal)
+
+
 @given(queue_counts_strategy(), st.integers(min_value=0, max_value=400))
 @settings(max_examples=50)
 def test_property_all_policies_emit_feasible_phases(counts, tick):

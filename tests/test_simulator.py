@@ -78,6 +78,44 @@ def test_seed_priorities_follow_class_mix():
     assert 503 <= ones <= 577
 
 
+def reference_seed_queues(cfg, rng):
+    """One scalar draw_priority call per vehicle, paths ascending, front to back."""
+    fill = cfg.spec.fill_count(cfg.intensity)
+    return tuple(
+        tuple(
+            VehicleRecord(simulator.draw_priority(rng, cfg.priority_classes), 0)
+            for _ in range(fill)
+        )
+        for _ in range(cfg.spec.num_paths)
+    )
+
+
+@pytest.mark.parametrize(
+    "classes",
+    [
+        simulator.PRIORITY_CLASSES,
+        ((1, 1.0),),
+        ((5, 0.3), (2, 0.3), (1, 0.4)),
+        # sums to 0.9999999999999999, so some draws fall past the last sum
+        ((7, 0.1), (1, 0.7), (3, 0.2)),
+        ((4, 0.0), (2, 0.5), (9, 0.0), (1, 0.5)),
+    ],
+)
+def test_seed_vector_draw_matches_scalar_reference(classes):
+    # same records in the same order, and the stream left at the same
+    # point, so the episode's next draw is unchanged too
+    for spec in (spec12(), IntersectionSpec.standard(3, max_queue_len=7)):
+        for intensity in (0.0, 0.1, 0.5, 1.0):
+            for seed in range(4):
+                cfg = SimConfig(
+                    spec=spec, intensity=intensity, seed=seed, priority_classes=classes
+                )
+                ours = np.random.Generator(np.random.PCG64(seed))
+                ref = np.random.Generator(np.random.PCG64(seed))
+                assert seed_initial_queues(cfg, ours).queues == reference_seed_queues(cfg, ref)
+                assert ours.random() == ref.random()
+
+
 def test_arrivals_probability_zero_never_arrive():
     cfg = SimConfig(
         spec=spec12(), intensity=0.0, mode=SimMode.STEADY, episode_ticks=50

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenlight import (
     ConflictMatrix,
@@ -12,6 +14,7 @@ from greenlight import (
     SolverConfig,
     TrafficSnapshot,
     Turn,
+    SimConfig,
     VehicleRecord,
     candidate_phases,
     enumerate_feasible_phases,
@@ -19,10 +22,13 @@ from greenlight import (
     lower_bound,
     optimize_schedule,
     rollout_cost,
+    save_instance,
+    seed_initial_queues,
     standard_movements,
 )
+from greenlight.cli import main as cli_main
 from greenlight.errors import InvalidSpecError, OracleTooLargeError, TooManyPhasesError
-from greenlight.solver import _path_tables
+from greenlight.solver import _path_tables, _tables
 
 
 def snapshot_with(spec, path_queues, tick=0):
@@ -420,3 +426,91 @@ def test_solution_reports_elapsed_time():
         spec, spec.empty_snapshot(), spec.all_closed(), SolverConfig(horizon=1)
     )
     assert sol.elapsed_seconds >= 0.0
+
+
+# (phase_ticks, slow_start) pairs for the memo tests
+MEMO_TIMINGS = ((4, 1), (2, 1), (3, 2))
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=10), max_size=21),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from(MEMO_TIMINGS),
+)
+@settings(max_examples=150)
+def test_property_memoised_tables_equal_fresh_build(priorities, k, timing):
+    big_d, small_s = timing
+    key = (tuple(priorities), big_d, small_s, k)
+    # twice, so the second read is a hit whatever the first one was
+    assert _tables(*key) == _tables.__wrapped__(*key)
+    assert _tables(*key) == _tables.__wrapped__(*key)
+    dyn = DynamicsConfig(phase_ticks=big_d, slow_start=small_s)
+    assert _path_tables(priorities, dyn, k) is _tables(*key)
+
+
+def assert_tuples_all_the_way_down(x):
+    assert isinstance(x, tuple)
+    for item in x:
+        if isinstance(item, (tuple, list, dict, set)):
+            assert_tuples_all_the_way_down(item)
+        else:
+            assert item is None or isinstance(item, int)
+
+
+def test_memoised_tables_are_tuples_all_the_way_down():
+    for priorities in ((), (1,), (10, 3, 1, 1), tuple(range(1, 22))):
+        for k in (1, 3, 5):
+            tables = _tables(priorities, 4, 1, k)
+            assert len(tables) == 4
+            assert_tuples_all_the_way_down(tables)
+
+
+def memo_inputs():
+    """C8 snapshots at k = 3 and k = 5, and guard-active states with an open prev phase."""
+    packed = IntersectionSpec.standard(max_queue_len=10)
+    inputs = []
+    for seed in range(50):
+        s = seed_initial_queues(SimConfig(spec=packed, intensity=1.0, seed=seed))
+        inputs.append((packed, s, packed.all_closed(), SolverConfig(horizon=3)))
+    for seed in range(2):
+        s = seed_initial_queues(SimConfig(spec=packed, intensity=1.0, seed=seed))
+        inputs.append((packed, s, packed.all_closed(), SolverConfig(horizon=5)))
+    rng = np.random.default_rng(808)
+    for horizon in (2, 3):
+        for _ in range(10):
+            spec = IntersectionSpec.standard(max_queue_len=4)
+            s, prev, cfg = guard_active_instance(rng, spec, horizon)
+            inputs.append((spec, s, prev, cfg))
+    return inputs
+
+
+def test_cold_and_warm_memo_give_identical_solutions():
+    inputs = memo_inputs()
+    _tables.cache_clear()
+    cold = [optimize_schedule(*args) for args in inputs]
+    assert _tables.cache_info().misses > 0
+    hits = _tables.cache_info().hits
+    warm = [optimize_schedule(*args) for args in inputs]
+    assert _tables.cache_info().hits > hits
+    for (_, _, prev, _), a, b in zip(inputs, cold, warm):
+        assert a.schedule == b.schedule
+        assert a.cost == b.cost
+        assert a.nodes_explored == b.nodes_explored
+    assert any(prev.mask for _, _, prev, _ in inputs)
+
+
+def test_table_memo_stays_bounded_after_drain_sweep(tmp_path):
+    instance = tmp_path / "instance.json"
+    out = tmp_path / "sweep.csv"
+    save_instance(IntersectionSpec.standard(), str(instance))
+    code = cli_main(
+        [
+            "sweep", "--instance", str(instance), "--intensity", "0.5,1.0",
+            "--runs", "3", "--policy", "horizon", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    info = _tables.cache_info()
+    assert info.maxsize == 1 << 10
+    assert 0 < info.currsize <= info.maxsize
+    assert info.hits > 0
