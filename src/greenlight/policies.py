@@ -71,28 +71,18 @@ def decide_horizon_opt(
     return optimize_schedule(spec, s, st.prev_phase, cfg).schedule[0]
 
 
-def decide_f1(
-    s: TrafficSnapshot,
-    conflicts: ConflictMatrix,
-    maximal_phases: tuple[Phase, ...] | None = None,
-) -> Phase:
+def decide_f1(s: TrafficSnapshot, conflicts: ConflictMatrix) -> Phase:
     """Congestion-greedy baseline: open the most queued vehicles at once.
 
     Scans the maximal feasible phases in ascending bit-vector order and
     keeps the first one maximizing total queued vehicles over its open
     paths, so ties go to the lexicographically smallest phase. The open
-    paths of the matrix's own maximal phases come from its cache.
+    paths of each maximal phase come from the matrix's cache.
     """
-    phases = conflicts.maximal_phases()
-    if maximal_phases is None or maximal_phases is phases:
-        paths = conflicts.maximal_open_paths()
-    else:
-        phases = maximal_phases
-        paths = [ph.open_paths() for ph in phases]
     counts = [len(q) for q in s.queues]
     best: Phase | None = None
     best_cover = -1
-    for ph, open_paths in zip(phases, paths):
+    for ph, open_paths in zip(conflicts.maximal_phases(), conflicts.maximal_open_paths()):
         cover = 0
         for i in open_paths:
             cover += counts[i]

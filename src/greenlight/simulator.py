@@ -9,10 +9,8 @@ bit-identical episodes on any platform.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
 
 import numpy as np
 
@@ -111,15 +109,19 @@ class WaitLogEntry:
     wait_ticks: int
 
 
-def draw_priority(rng: np.random.Generator, classes: tuple[tuple[int, float], ...]) -> int:
-    """Sample one priority weight by inverse CDF over the class list order."""
-    u = rng.random()
+def _priority_of(u: float, classes: tuple[tuple[int, float], ...]) -> int:
+    """Map one uniform draw to a priority weight by inverse CDF over the class list order."""
     cum = 0.0
     for weight, prob in classes:
         cum += prob
         if u < cum:
             return weight
     return classes[-1][0]
+
+
+def draw_priority(rng: np.random.Generator, classes: tuple[tuple[int, float], ...]) -> int:
+    """Sample one priority weight by inverse CDF over the class list order."""
+    return _priority_of(rng.random(), classes)
 
 
 def seed_initial_queues(cfg: SimConfig, rng: np.random.Generator | None = None) -> TrafficSnapshot:
@@ -129,22 +131,14 @@ def seed_initial_queues(cfg: SimConfig, rng: np.random.Generator | None = None) 
     an episode continue the same stream for its arrivals; otherwise a
     generator is seeded from cfg.seed. All uniforms come from one vector
     draw, which yields the same doubles as one `draw_priority` call per
-    vehicle, and map to classes by the same inverse CDF.
+    vehicle, and map to classes through the same `_priority_of`.
     """
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
     fill = cfg.spec.fill_count(cfg.intensity)
     paths = cfg.spec.num_paths
     classes = cfg.priority_classes
-    # cumulative sums in draw_priority's float order; the first class with
-    # u < cum wins, which is bisect_right's index, and the last class
-    # takes any u past the final sum
-    cums = list(accumulate(prob for _, prob in classes))
-    last = len(classes) - 1
-    records = [
-        _record(classes[min(bisect_right(cums, u), last)][0], 0)
-        for u in rng.random(paths * fill).tolist()
-    ]
+    records = [_record(_priority_of(u, classes), 0) for u in rng.random(paths * fill).tolist()]
     queues = tuple(tuple(records[i * fill : (i + 1) * fill]) for i in range(paths))
     return TrafficSnapshot(tick=0, queues=queues)
 
@@ -218,7 +212,6 @@ def run_episode(
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     state = seed_initial_queues(cfg, rng)
     st: ControllerState = make_controller_state(spec, policy)
-    maximal = spec.conflicts.maximal_phases()
     ages = [0] * spec.num_paths
     log: list[WaitLogEntry] = []
     rejected = 0
@@ -240,7 +233,7 @@ def run_episode(
             if policy is PolicyKind.HORIZON:
                 phase = decide_horizon_opt(spec, state, st, solver_cfg)
             elif policy is PolicyKind.F1:
-                phase = decide_f1(state, spec.conflicts, maximal)
+                phase = decide_f1(state, spec.conflicts)
             else:
                 phase = decide_f2(t, st, dyn.phase_ticks)
 

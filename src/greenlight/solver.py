@@ -19,9 +19,10 @@ only its own open paths by table lookups.
 The tables depend only on the queue's priorities, phase_ticks,
 slow_start and k, and the search only reads them, so they are memoised
 across calls, decisions and episodes: a bounded `functools.lru_cache`
-of 1,024 entries keyed on exactly those four values, about 5 MB at
-most. Sharing is safe because the tables are nested tuples, which no
-caller can change. On the C3 drain grid about 93% of lookups hit the
+of 1,024 entries keyed on exactly those four values. An entry's size
+scales with k x (queue length + 1); at the default sizes (k = 3, queues
+of up to 21 vehicles) the memo holds about 5 MB at most. Sharing is safe
+because the tables are nested tuples, which no caller can change. On the C3 drain grid about 93% of lookups hit the
 memo.
 
 The bound is slow-start aware. Over the R ticks after a block, the j-th
@@ -158,9 +159,11 @@ def _tables(priorities: tuple[int, ...], big_d: int, small_s: int, k: int):
     The tables are a pure function of the key (queue priorities front to
     back, phase_ticks, slow_start, k), so one build is shared by every
     path, decision and episode with that key. Everything returned is a
-    tuple, so no caller can change what another reads. The bound holds
-    1,024 entries of about 4.5 KB each at k = 3 with queues of up to 21
-    vehicles (tracemalloc), so the memo stays under about 5 MB.
+    tuple, so no caller can change what another reads. The bound is 1,024
+    entries, not bytes: an entry's size scales with k x (queue length + 1).
+    At the default sizes (k = 3, queues of up to 21 vehicles) an entry is
+    about 4.5 KB (tracemalloc), so the memo holds about 5 MB at most there;
+    a larger horizon or longer queues keep a proportionally larger memo.
     """
     n = len(priorities)
     # ps[x] = sum of the first x priorities; iw[x] = sum of
