@@ -11,31 +11,28 @@ Run with: python3 demos/05_load_sweep.py
 
 from statistics import mean
 
-from greenlight import IntersectionSpec, PolicyKind, SimConfig, run_episode
+from greenlight import IntersectionSpec, PolicyKind, SimMode, SolverConfig
+from greenlight.cli import SweepSpec, sweep_episodes
 
 INTENSITIES = (0.25, 0.5, 0.75, 1.0)
-SEEDS = range(5)
 POLICIES = (PolicyKind.HORIZON, PolicyKind.F1, PolicyKind.F2)
+SWEEP = SweepSpec(intensities=INTENSITIES, runs=5, policies=POLICIES)
 
 
 def main() -> None:
-    spec = IntersectionSpec.standard()
-    print(f"Drain episodes, {len(SEEDS)} seeds per point, mean wait in ticks.\n")
+    waits = {}
+    for intensity, policy, _, stats, _ in sweep_episodes(
+        IntersectionSpec.standard(), SWEEP, SimMode.DRAIN, SolverConfig()
+    ):
+        waits.setdefault((intensity, policy), []).append(stats.mean_wait)
 
+    print(f"Drain episodes, {SWEEP.runs} seeds per point, mean wait in ticks.\n")
     header = f"{'intensity':>9s}" + "".join(f"{p.value:>10s}" for p in POLICIES)
     print(header)
     print("-" * len(header))
     for intensity in INTENSITIES:
         row = [f"{intensity:9.2f}"]
-        means = {}
-        for policy in POLICIES:
-            waits = []
-            for seed in SEEDS:
-                cfg = SimConfig(spec=spec, intensity=intensity, seed=seed)
-                stats, _ = run_episode(cfg, policy)
-                waits.append(stats.mean_wait)
-            means[policy] = mean(waits)
-            row.append(f"{means[policy]:10.2f}")
+        row += [f"{mean(waits[intensity, policy]):10.2f}" for policy in POLICIES]
         print("".join(row))
 
     print("\nThe planner's lead over both fixed rules widens as the junction")

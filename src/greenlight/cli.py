@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .dynamics import DynamicsConfig
@@ -18,10 +19,16 @@ from .errors import (
     GreenlightError,
     NoFeasibleScheduleError,
 )
-from .fileio import _load_json, load_instance, load_snapshot, write_wait_log
-from .model import MIN_ARMS, Turn, enumerate_feasible_phases
+from .fileio import (
+    _instance_problems,
+    _load_json,
+    load_instance,
+    load_snapshot,
+    write_wait_log,
+)
+from .model import IntersectionSpec, enumerate_feasible_phases
 from .policies import PolicyKind
-from .simulator import SimConfig, SimMode, run_episode
+from .simulator import EpisodeStats, SimConfig, SimMode, WaitLogEntry, run_episode
 from .solver import SolverConfig, optimize_schedule
 
 EXIT_OK = 0
@@ -55,6 +62,27 @@ class SweepSpec:
                 raise GreenlightError(f"intensity {x} outside [0, 1]")
         if not self.policies:
             raise GreenlightError("at least one policy required")
+
+
+def sweep_episodes(
+    spec: IntersectionSpec,
+    sweep: SweepSpec,
+    mode: SimMode,
+    solver_cfg: SolverConfig,
+) -> Iterator[tuple[float, PolicyKind, int, EpisodeStats, tuple[WaitLogEntry, ...]]]:
+    """Run every episode of a sweep, yielding (intensity, policy, seed,
+    stats, wait log) in CSV order: intensity-major, then policy, then
+    seed base_seed + run. Episodes use solver_cfg's dynamics.
+
+    `run_episode` is read from this module's globals at each call, so a
+    wrapper on `greenlight.cli.run_episode` sees every episode.
+    """
+    for intensity in sweep.intensities:
+        for policy in sweep.policies:
+            for seed in range(sweep.base_seed, sweep.base_seed + sweep.runs):
+                cfg = SimConfig(spec, intensity, seed, mode, dynamics=solver_cfg.dynamics)
+                stats, log = run_episode(cfg, policy, solver_cfg)
+                yield intensity, policy, seed, stats, log
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -101,15 +129,13 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _dynamics_from(args: argparse.Namespace) -> DynamicsConfig:
-    return DynamicsConfig(
+def _solver_from(args: argparse.Namespace) -> SolverConfig:
+    """The solver settings, carrying the one DynamicsConfig a command uses."""
+    dyn = DynamicsConfig(
         phase_ticks=args.phase_ticks,
         slow_start=args.slow_start,
         tick_seconds=args.tick_seconds,
     )
-
-
-def _solver_from(args: argparse.Namespace, dyn: DynamicsConfig) -> SolverConfig:
     wmax = args.wmax if args.wmax > 0 else None
     return SolverConfig(
         horizon=args.horizon,
@@ -122,7 +148,7 @@ def _solver_from(args: argparse.Namespace, dyn: DynamicsConfig) -> SolverConfig:
 def cmd_optimize(args: argparse.Namespace) -> int:
     spec = load_instance(args.instance)
     snap = load_snapshot(args.snapshot, spec)
-    cfg = _solver_from(args, _dynamics_from(args))
+    cfg = _solver_from(args)
     sol = optimize_schedule(spec, snap, spec.all_closed(), cfg)
     for idx, ph in enumerate(sol.schedule, 1):
         opened = " ".join(str(i) for i in ph.open_paths())
@@ -145,14 +171,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = load_instance(args.instance)
-    dyn = _dynamics_from(args)
-    solver_cfg = _solver_from(args, dyn)
+    solver_cfg = _solver_from(args)
     cfg = SimConfig(
         spec=spec,
         intensity=args.intensity,
         seed=args.seed,
         mode=SimMode(args.mode),
-        dynamics=dyn,
+        dynamics=solver_cfg.dynamics,
     )
     stats, log = run_episode(cfg, PolicyKind(args.policy), solver_cfg)
     print(f"mean_wait_ticks: {stats.mean_wait:.6f}")
@@ -171,44 +196,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_instance(args.instance)
-    dyn = _dynamics_from(args)
-    solver_cfg = _solver_from(args, dyn)
+    solver_cfg = _solver_from(args)
     sweep = SweepSpec(
         intensities=args.intensity,
         runs=args.runs,
         policies=args.policy,
         base_seed=args.seed,
     )
-    mode = SimMode(args.mode)
 
     lines = [SWEEP_HEADER]
-    aggregates = []
-    for intensity in sweep.intensities:
-        for policy in sweep.policies:
-            means = []
-            stds = []
-            stuck = 0
-            for run in range(sweep.runs):
-                seed = sweep.base_seed + run
-                cfg = SimConfig(
-                    spec=spec,
-                    intensity=intensity,
-                    seed=seed,
-                    mode=mode,
-                    dynamics=dyn,
-                )
-                stats, _ = run_episode(cfg, policy, solver_cfg)
-                lines.append(
-                    f"{intensity:.6f},{policy.value},{seed},"
-                    f"{stats.mean_wait:.6f},{stats.mean_wait_seconds:.6f},"
-                    f"{stats.std_wait:.6f},{stats.max_wait},"
-                    f"{stats.throughput},{str(stats.terminated).lower()}"
-                )
-                means.append(stats.mean_wait)
-                stds.append(stats.std_wait)
-                if not stats.terminated:
-                    stuck += 1
-            aggregates.append((intensity, policy.value, means, stds, stuck))
+    cells = []  # (intensity, policy, stats of its runs), in sweep order
+    for intensity, policy, seed, stats, _ in sweep_episodes(
+        spec, sweep, SimMode(args.mode), solver_cfg
+    ):
+        lines.append(
+            f"{intensity:.6f},{policy.value},{seed},"
+            f"{stats.mean_wait:.6f},{stats.mean_wait_seconds:.6f},"
+            f"{stats.std_wait:.6f},{stats.max_wait},"
+            f"{stats.throughput},{str(stats.terminated).lower()}"
+        )
+        if seed == sweep.base_seed:
+            cells.append((intensity, policy.value, []))
+        cells[-1][2].append(stats)
 
     csv_text = "\n".join(lines) + "\n"
     if args.out:
@@ -219,9 +228,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sys.stdout.write(csv_text)
         summary_stream = sys.stderr
 
-    for intensity, policy, means, stds, stuck in aggregates:
-        mean = sum(means) / len(means)
-        std = sum(stds) / len(stds)
+    for intensity, policy, runs in cells:
+        mean = sum(s.mean_wait for s in runs) / len(runs)
+        std = sum(s.std_wait for s in runs) / len(runs)
+        stuck = sum(not s.terminated for s in runs)
         line = (
             f"intensity {intensity:.2f} {policy}: "
             f"mean_wait_ticks={mean:.6f} std_wait_ticks={std:.6f}"
@@ -242,94 +252,11 @@ def cmd_phases(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    data = _load_json(args.instance)
-    problems: list[str] = []
-    if not isinstance(data, dict):
-        print(f"{args.instance}: instance must be a JSON object")
-        return EXIT_INVALID
-
-    arms = data.get("arms")
-    if isinstance(arms, bool) or not isinstance(arms, int):
-        problems.append("arms must be an integer")
-        arms = None
-    elif arms < MIN_ARMS:
-        problems.append(f"arms must be >= {MIN_ARMS}, got {arms}")
-
-    raw_paths = data.get("paths")
-    n_paths = 0
-    if not isinstance(raw_paths, list) or not raw_paths:
-        problems.append("paths must be a nonempty list")
-    else:
-        n_paths = len(raw_paths)
-        seen = {}
-        turn_tokens = {t.value for t in Turn}
-        for idx, item in enumerate(raw_paths):
-            if not isinstance(item, dict):
-                problems.append(f"path {idx} must be an object")
-                continue
-            entry = item.get("entry")
-            turn = item.get("turn")
-            if isinstance(entry, bool) or not isinstance(entry, int):
-                problems.append(f"path {idx} entry must be an integer")
-                continue
-            if arms is not None and not 0 <= entry < arms:
-                problems.append(f"path {idx} entry {entry} outside [0, {arms})")
-            if turn not in turn_tokens:
-                problems.append(f"path {idx} turn must be one of L, S, R")
-                continue
-            key = (entry, turn)
-            if key in seen:
-                problems.append(f"duplicate path at index {idx} (same as {seen[key]})")
-            else:
-                seen[key] = idx
-
-    mql = data.get("max_queue_len")
-    if isinstance(mql, bool) or not isinstance(mql, int):
-        problems.append("max_queue_len must be an integer")
-    elif mql < 1:
-        problems.append("max_queue_len must be >= 1")
-
-    side = data.get("driving_side", "left")
-    if side not in ("left", "right"):
-        problems.append("driving_side must be 'left' or 'right'")
-    if not isinstance(data.get("merge_conflicts", False), bool):
-        problems.append("merge_conflicts must be a boolean")
-
-    matrix = data.get("conflict_matrix")
-    if matrix is not None:
-        if not isinstance(matrix, list):
-            problems.append("conflict_matrix must be a list of rows")
-        else:
-            rows = len(matrix)
-            if n_paths and rows != n_paths:
-                problems.append(
-                    f"conflict_matrix has {rows} rows, instance has {n_paths} paths"
-                )
-            for i, row in enumerate(matrix):
-                if not isinstance(row, list) or len(row) != rows:
-                    problems.append(f"matrix row {i} is not length {rows}")
-                    continue
-                for j, x in enumerate(row):
-                    if x not in (0, 1):
-                        problems.append(f"matrix entry ({i},{j}) must be 0 or 1")
-            ok_shape = all(
-                isinstance(r, list) and len(r) == rows for r in matrix
-            )
-            if ok_shape:
-                for i in range(rows):
-                    if matrix[i][i]:
-                        problems.append(f"diagonal nonzero at ({i},{i})")
-                    for j in range(i + 1, rows):
-                        if matrix[i][j] != matrix[j][i]:
-                            problems.append(f"asymmetric at ({i},{j})")
-
+    problems = _instance_problems(_load_json(args.instance))
     if problems:
-        for line in problems:
-            print(line)
+        print("\n".join(problems))
         return EXIT_INVALID
-
-    spec = load_instance(args.instance)
-    pairs = spec.conflicts.pairs()
+    pairs = load_instance(args.instance).conflicts.pairs()
     print("ok")
     print(f"conflict pairs: {len(pairs)}")
     for i, j in pairs:

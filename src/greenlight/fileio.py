@@ -2,8 +2,12 @@
 
 Instance files describe a junction: arms, movements, queue capacity,
 driving side, merge policy, and optionally an explicit conflict matrix
-overriding the geometric one. Snapshot files carry queue contents either
-as nested [priority, wait] pairs or as the flat (P, 2, L) array form.
+overriding the geometric one. One collector, `_instance_problems`,
+holds every instance rule: `load_instance` raises on what it finds and
+`greenlight validate` prints it, so both accept the same files.
+
+Snapshot files carry queue contents either as nested [priority, wait]
+pairs or as the flat (P, 2, L) array form.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 
 from .errors import FileFormatError, InvalidSpecError
 from .model import (
+    MIN_ARMS,
     ConflictMatrix,
     DrivingSide,
     IntersectionSpec,
@@ -29,6 +34,8 @@ from .model import (
 from .simulator import WaitLogEntry
 
 WAIT_LOG_HEADER = "seed,policy,path,priority,enter_tick,exit_tick,wait_ticks"
+_TURN_TOKENS = tuple(t.value for t in Turn)
+_SIDE_TOKENS = tuple(s.value for s in DrivingSide)
 
 
 def _load_json(path: str | Path):
@@ -45,73 +52,118 @@ def _load_json(path: str | Path):
         ) from exc
 
 
-def _require(data: dict, key: str, path: str | Path):
-    if key not in data:
-        raise FileFormatError(f"{path}: missing required key '{key}'")
-    return data[key]
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _as_int(value, what: str, path: str | Path) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise FileFormatError(f"{path}: {what} must be an integer")
     return value
 
 
-def load_instance(path: str | Path) -> IntersectionSpec:
-    """Read and validate a junction description."""
-    data = _load_json(path)
+def _instance_problems(data) -> list[str]:
+    """Every problem with an instance document, in document order.
+
+    An empty list means `load_instance` builds the spec; `validate`
+    prints the same list, one problem per line.
+    """
     if not isinstance(data, dict):
-        raise FileFormatError(f"{path}: instance must be a JSON object")
-    arms = _as_int(_require(data, "arms", path), "arms", path)
-    raw_paths = _require(data, "paths", path)
+        return ["instance must be a JSON object"]
+    problems: list[str] = []
+
+    arms = data.get("arms")
+    if not _is_int(arms):
+        problems.append("arms must be an integer")
+        arms = None
+    elif arms < MIN_ARMS:
+        problems.append(f"arms must be >= {MIN_ARMS}, got {arms}")
+
+    raw_paths = data.get("paths")
+    n_paths = 0
     if not isinstance(raw_paths, list) or not raw_paths:
-        raise FileFormatError(f"{path}: paths must be a nonempty list")
-    movements = []
-    for idx, item in enumerate(raw_paths):
-        if not isinstance(item, dict):
-            raise FileFormatError(f"{path}: path {idx} must be an object")
-        entry = _as_int(_require(item, "entry", path), f"path {idx} entry", path)
-        turn_token = _require(item, "turn", path)
-        try:
-            turn = Turn(turn_token)
-        except ValueError:
-            raise FileFormatError(
-                f"{path}: path {idx} turn must be one of L, S, R"
-            ) from None
-        movements.append(Movement(entry, turn))
-    max_queue_len = _as_int(
-        _require(data, "max_queue_len", path), "max_queue_len", path
-    )
-    try:
-        side = DrivingSide(data.get("driving_side", "left"))
-    except ValueError:
-        raise FileFormatError(f"{path}: driving_side must be 'left' or 'right'") from None
-    merge = data.get("merge_conflicts", False)
-    if not isinstance(merge, bool):
-        raise FileFormatError(f"{path}: merge_conflicts must be a boolean")
+        problems.append("paths must be a nonempty list")
+    else:
+        n_paths = len(raw_paths)
+        seen = {}
+        for idx, item in enumerate(raw_paths):
+            if not isinstance(item, dict):
+                problems.append(f"path {idx} must be an object")
+                continue
+            entry = item.get("entry")
+            turn = item.get("turn")
+            if not _is_int(entry):
+                problems.append(f"path {idx} entry must be an integer")
+                continue
+            if arms is not None and not 0 <= entry < arms:
+                problems.append(f"path {idx} entry {entry} outside [0, {arms})")
+            # a tuple, not a set: a list or object token must not raise
+            if turn not in _TURN_TOKENS:
+                problems.append(f"path {idx} turn must be one of L, S, R")
+                continue
+            key = (entry, turn)
+            if key in seen:
+                problems.append(f"duplicate path at index {idx} (same as {seen[key]})")
+            else:
+                seen[key] = idx
 
-    conflicts = None
-    raw_matrix = data.get("conflict_matrix")
-    if raw_matrix is not None:
-        try:
-            arr = np.asarray(raw_matrix)
-        except ValueError:
-            raise FileFormatError(
-                f"{path}: conflict_matrix rows must all have the same length"
-            ) from None
-        if arr.dtype == object or arr.ndim != 2:
-            raise FileFormatError(f"{path}: conflict_matrix must be a square 0/1 array")
-        if not np.isin(arr, (0, 1)).all():
-            raise FileFormatError(f"{path}: conflict_matrix entries must be 0 or 1")
-        conflicts = ConflictMatrix(arr.astype(bool))
+    mql = data.get("max_queue_len")
+    if not _is_int(mql):
+        problems.append("max_queue_len must be an integer")
+    elif mql < 1:
+        problems.append("max_queue_len must be >= 1")
 
+    if data.get("driving_side", "left") not in _SIDE_TOKENS:
+        problems.append("driving_side must be 'left' or 'right'")
+    if not isinstance(data.get("merge_conflicts", False), bool):
+        problems.append("merge_conflicts must be a boolean")
+
+    matrix = data.get("conflict_matrix")
+    if matrix is None:
+        return problems
+    if not isinstance(matrix, list):
+        problems.append("conflict_matrix must be a list of rows")
+        return problems
+    rows = len(matrix)
+    if n_paths and rows != n_paths:
+        problems.append(f"conflict_matrix has {rows} rows, instance has {n_paths} paths")
+    square = True
+    for i, row in enumerate(matrix):
+        if not isinstance(row, list) or len(row) != rows:
+            problems.append(f"matrix row {i} is not length {rows}")
+            square = False
+            continue
+        for j, x in enumerate(row):
+            if x not in (0, 1):
+                problems.append(f"matrix entry ({i},{j}) must be 0 or 1")
+    if square:
+        for i in range(rows):
+            if matrix[i][i]:
+                problems.append(f"diagonal nonzero at ({i},{i})")
+            for j in range(i + 1, rows):
+                if matrix[i][j] != matrix[j][i]:
+                    problems.append(f"asymmetric at ({i},{j})")
+    return problems
+
+
+def load_instance(path: str | Path) -> IntersectionSpec:
+    """Read and validate a junction description.
+
+    Raises one FileFormatError naming the file and every problem that
+    `_instance_problems` finds, joined by "; ".
+    """
+    data = _load_json(path)
+    problems = _instance_problems(data)
+    if problems:
+        raise FileFormatError(f"{path}: " + "; ".join(problems))
+    matrix = data.get("conflict_matrix")
     return IntersectionSpec(
-        arms=arms,
-        paths=tuple(movements),
-        max_queue_len=max_queue_len,
-        driving_side=side,
-        merge_conflicts=merge,
-        conflicts=conflicts,
+        arms=data["arms"],
+        paths=tuple(Movement(p["entry"], Turn(p["turn"])) for p in data["paths"]),
+        max_queue_len=data["max_queue_len"],
+        driving_side=DrivingSide(data.get("driving_side", "left")),
+        merge_conflicts=data.get("merge_conflicts", False),
+        conflicts=None if matrix is None else ConflictMatrix(np.array(matrix, dtype=bool)),
     )
 
 

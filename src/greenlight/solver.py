@@ -211,11 +211,6 @@ def _tables(priorities: tuple[int, ...], big_d: int, small_s: int, k: int):
     return closed, tuple(cold_bound), tuple(cold), tuple(warm)
 
 
-def _path_tables(priorities: list[int], dyn: DynamicsConfig, k: int):
-    """The memoised `_tables` of one queue's priorities under `dyn`."""
-    return _tables(tuple(priorities), dyn.phase_ticks, dyn.slow_start, k)
-
-
 def optimize_schedule(
     spec: IntersectionSpec,
     s: TrafficSnapshot,

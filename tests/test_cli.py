@@ -209,6 +209,52 @@ def test_validate_reports_every_problem_on_its_own_line(capsys, tmp_path):
     assert len(lines) == 4
 
 
+def write_lenient_matrix_instance(tmp_path):
+    # an explicit matrix skips the geometry, which once let a duplicate
+    # path and an out-of-range entry arm through every subcommand but validate
+    doc = {
+        "arms": 4,
+        "paths": [
+            {"entry": 0, "turn": "L"},
+            {"entry": 0, "turn": "L"},
+            {"entry": 9, "turn": "S"},
+        ],
+        "max_queue_len": 3,
+        "conflict_matrix": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    }
+    path = tmp_path / "lenient.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_phases_rejects_what_validate_rejects_despite_explicit_matrix(capsys, tmp_path):
+    instance = write_lenient_matrix_instance(tmp_path)
+    code, out, err = run_cli(capsys, "phases", "--instance", instance)
+    assert code == 2
+    assert out == ""
+    assert "duplicate path at index 1 (same as 0)" in err
+    assert "path 2 entry 9 outside [0, 4)" in err
+
+
+def test_optimize_rejects_what_validate_rejects_despite_explicit_matrix(capsys, tmp_path):
+    instance = write_lenient_matrix_instance(tmp_path)
+    snapshot = tmp_path / "empty.json"
+    snapshot.write_text('{"tick": 0, "queues": [[], [], []]}')
+    code, out, err = run_cli(
+        capsys, "optimize", "--instance", instance, "--snapshot", str(snapshot)
+    )
+    assert code == 2
+    assert out == ""
+    assert "duplicate path at index 1 (same as 0)" in err
+    assert "path 2 entry 9 outside [0, 4)" in err
+    code, out, _ = run_cli(capsys, "validate", "--instance", instance)
+    assert code == 2
+    assert out.splitlines() == [
+        "duplicate path at index 1 (same as 0)",
+        "path 2 entry 9 outside [0, 4)",
+    ]
+
+
 def sweep_args(out_path=None):
     args = [
         "sweep",

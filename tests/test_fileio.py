@@ -1,7 +1,16 @@
 """Tests for instance, snapshot, and wait-log serialization."""
 
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenlight import (
     ConflictMatrix,
@@ -18,8 +27,13 @@ from greenlight import (
     standard_movements,
     write_wait_log,
 )
+from greenlight.cli import main
 from greenlight.errors import FileFormatError, GreenlightError, InvalidSpecError
 from greenlight.fileio import WAIT_LOG_HEADER
+
+DEFAULT_DOC = json.loads(
+    (Path(__file__).parent / "data" / "instance_default.json").read_text()
+)
 
 
 def sample_snapshot(spec):
@@ -250,3 +264,102 @@ def test_missing_file_reports_path(tmp_path):
     with pytest.raises(FileFormatError) as exc:
         load_instance(target)
     assert "absent.json" in str(exc.value)
+
+
+def _matrix(doc):
+    """The document's explicit matrix, first installing a zero one sized
+    to its paths when it has none."""
+    if "conflict_matrix" not in doc:
+        n = len(doc.get("paths", DEFAULT_DOC["paths"]))
+        doc["conflict_matrix"] = [[0] * n for _ in range(n)]
+    return doc["conflict_matrix"]
+
+
+def _row(doc, i):
+    m = _matrix(doc)
+    return m[i % len(m)]
+
+
+def _mutate(doc, kind, i):
+    paths = doc.get("paths")
+    if kind == "drop_key":
+        keys = sorted(doc)
+        if keys:
+            del doc[keys[i % len(keys)]]
+    elif kind == "duplicate_path" and isinstance(paths, list):
+        paths.append(copy.deepcopy(paths[i % len(paths)]))
+    elif kind == "entry_out_of_range" and isinstance(paths, list):
+        paths[i % len(paths)]["entry"] = (-1, 4, 9)[i % 3]
+    elif kind == "bool_arms":
+        doc["arms"] = True
+    elif kind == "bad_turn" and isinstance(paths, list):
+        paths[i % len(paths)]["turn"] = ("U", "l", ["L"], 1)[i % 4]
+    elif kind == "bad_side":
+        doc["driving_side"] = ("middle", "LEFT", 0)[i % 3]
+    elif kind == "explicit_matrix":
+        _matrix(doc)
+    elif kind == "asymmetric":
+        row = _row(doc, i)
+        j = (i + 1) % len(row)
+        row[j] = 1 - row[j] if row[j] in (0, 1) else 1
+    elif kind == "ragged":
+        _row(doc, i).pop()
+    elif kind == "nonzero_diagonal":
+        m = _matrix(doc)
+        k = i % len(m)
+        if len(m[k]) > k:
+            m[k][k] = 1
+    elif kind == "non_binary":
+        row = _row(doc, i)
+        row[i % len(row)] = (2, -1, 0.5, "1", None)[i % 5]
+    elif kind == "wrong_row_count":
+        _matrix(doc).pop()
+
+
+MUTATIONS = (
+    "drop_key",
+    "duplicate_path",
+    "entry_out_of_range",
+    "bool_arms",
+    "bad_turn",
+    "bad_side",
+    "explicit_matrix",
+    "asymmetric",
+    "ragged",
+    "nonzero_diagonal",
+    "non_binary",
+    "wrong_row_count",
+)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(MUTATIONS), st.integers(min_value=0, max_value=30)),
+        min_size=1,
+        max_size=2,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_property_validate_and_load_instance_agree(mutations):
+    # both entry points share one rule set: validate exits 0 exactly when
+    # load_instance returns, and lists the problems its error names
+    doc = copy.deepcopy(DEFAULT_DOC)
+    for kind, i in mutations:
+        _mutate(doc, kind, i)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["validate", "--instance", str(path)])
+        try:
+            spec = load_instance(path)
+        except FileFormatError as exc:
+            assert code == 2
+            prefix = f"{path}: "
+            assert str(exc).startswith(prefix)
+            assert out.getvalue().splitlines() == str(exc)[len(prefix):].split("; ")
+        else:
+            assert code == 0
+            lines = out.getvalue().splitlines()
+            assert lines[:2] == ["ok", f"conflict pairs: {len(spec.conflicts.pairs())}"]

@@ -28,7 +28,7 @@ from greenlight import (
 )
 from greenlight.cli import main as cli_main
 from greenlight.errors import InvalidSpecError, OracleTooLargeError, TooManyPhasesError
-from greenlight.solver import _path_tables, _tables
+from greenlight.solver import _tables
 
 
 def snapshot_with(spec, path_queues, tick=0):
@@ -338,7 +338,10 @@ def test_search_bound_is_admissible_and_above_lower_bound():
         spec, s, prev, cfg = random_instance(rng)
         dyn = cfg.dynamics
         rest = int(rng.integers(1, 3))
-        tables = [_path_tables([v.priority for v in q], dyn, rest + 1) for q in s.queues]
+        tables = [
+            _tables(tuple(v.priority for v in q), dyn.phase_ticks, dyn.slow_start, rest + 1)
+            for q in s.queues
+        ]
         # maximal continuations reach the unrestricted optimum
         free = SolverConfig(horizon=rest, wmax=None, dynamics=dyn)
         for first in enumerate_feasible_phases(spec.conflicts, maximal_only=False):
@@ -444,8 +447,6 @@ def test_property_memoised_tables_equal_fresh_build(priorities, k, timing):
     # twice, so the second read is a hit whatever the first one was
     assert _tables(*key) == _tables.__wrapped__(*key)
     assert _tables(*key) == _tables.__wrapped__(*key)
-    dyn = DynamicsConfig(phase_ticks=big_d, slow_start=small_s)
-    assert _path_tables(priorities, dyn, k) is _tables(*key)
 
 
 def assert_tuples_all_the_way_down(x):
