@@ -80,7 +80,7 @@ def sweep_episodes(
     for intensity in sweep.intensities:
         for policy in sweep.policies:
             for seed in range(sweep.base_seed, sweep.base_seed + sweep.runs):
-                cfg = SimConfig(spec, intensity, seed, mode, dynamics=solver_cfg.dynamics)
+                cfg = SimConfig(spec, intensity, seed, mode)
                 stats, log = run_episode(cfg, policy, solver_cfg)
                 yield intensity, policy, seed, stats, log
 
@@ -136,7 +136,7 @@ def _solver_from(args: argparse.Namespace) -> SolverConfig:
         slow_start=args.slow_start,
         tick_seconds=args.tick_seconds,
     )
-    wmax = args.wmax if args.wmax > 0 else None
+    wmax = None if args.wmax == 0 else args.wmax
     return SolverConfig(
         horizon=args.horizon,
         maximal_only=args.maximal,
@@ -177,7 +177,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         intensity=args.intensity,
         seed=args.seed,
         mode=SimMode(args.mode),
-        dynamics=solver_cfg.dynamics,
     )
     stats, log = run_episode(cfg, PolicyKind(args.policy), solver_cfg)
     print(f"mean_wait_ticks: {stats.mean_wait:.6f}")

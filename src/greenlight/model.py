@@ -210,6 +210,16 @@ class ConflictMatrix:
         return f"ConflictMatrix(paths={self.paths}, pairs={len(self.pairs())})"
 
 
+def _path_exits(arms: int, paths: tuple[Movement, ...], side: DrivingSide) -> list[int]:
+    """Each path's exit arm; rejects a repeated path or an entry arm out of range."""
+    seen = set()
+    for m in paths:
+        if m in seen:
+            raise InvalidSpecError(f"duplicate path {m}")
+        seen.add(m)
+    return [exit_arm(m, arms, side) for m in paths]
+
+
 def build_conflict_matrix(
     arms: int,
     paths: tuple[Movement, ...],
@@ -226,12 +236,7 @@ def build_conflict_matrix(
     is set.
     """
     n = len(paths)
-    seen = set()
-    for m in paths:
-        if m in seen:
-            raise InvalidSpecError(f"duplicate path {m}")
-        seen.add(m)
-    exits = [exit_arm(m, arms, side) for m in paths]
+    exits = _path_exits(arms, paths, side)
     data = np.zeros((n, n), dtype=bool)
     circle = 2 * arms
     for i in range(n):
@@ -410,6 +415,7 @@ class IntersectionSpec:
             raise InvalidSpecError("at least one path required")
         if self.max_queue_len < 1:
             raise InvalidSpecError("max_queue_len must be >= 1")
+        _path_exits(self.arms, self.paths, self.driving_side)
         if self.conflicts is None:
             object.__setattr__(
                 self,

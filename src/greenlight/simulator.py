@@ -9,12 +9,12 @@ bit-identical episodes on any platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .dynamics import DynamicsConfig, _record, step
+from .dynamics import _record, initial_green_ages, step
 from .errors import InvalidSpecError
 from .model import IntersectionSpec, TrafficSnapshot, VehicleRecord
 from .policies import (
@@ -28,6 +28,7 @@ from .policies import (
 from .solver import SolverConfig
 
 PRIORITY_CLASSES: tuple[tuple[int, float], ...] = ((10, 0.02), (3, 0.08), (1, 0.90))
+ARRIVAL_RATE_SCALE = 0.3
 TICK_CAP = 100_000
 
 
@@ -40,38 +41,26 @@ class SimMode(str, Enum):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything an episode needs besides the policy itself."""
+    """The traffic of one episode: junction, load, seed, shape and length.
+
+    Arrivals and priorities follow the module constants
+    ARRIVAL_RATE_SCALE and PRIORITY_CLASSES; the timing an episode runs
+    under comes from the SolverConfig passed to `run_episode`.
+    """
 
     spec: IntersectionSpec
     intensity: float
     seed: int = 0
     mode: SimMode = SimMode.DRAIN
-    arrival_rate_scale: float = 0.3
     episode_ticks: int = 500
-    priority_classes: tuple[tuple[int, float], ...] = PRIORITY_CLASSES
-    dynamics: DynamicsConfig = field(default_factory=DynamicsConfig)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.intensity <= 1.0:
             raise InvalidSpecError("intensity must lie in [0, 1]")
         if self.seed < 0:
             raise InvalidSpecError("seed must be nonnegative")
-        if self.arrival_rate_scale < 0:
-            raise InvalidSpecError("arrival_rate_scale must be >= 0")
-        if self.intensity * self.arrival_rate_scale > 1.0:
-            raise InvalidSpecError("intensity * arrival_rate_scale must be <= 1")
         if self.episode_ticks < 0:
             raise InvalidSpecError("episode_ticks must be >= 0")
-        if not self.priority_classes:
-            raise InvalidSpecError("priority_classes must be nonempty")
-        for weight, prob in self.priority_classes:
-            if weight < 1:
-                raise InvalidSpecError("priority weights must be >= 1")
-            if not 0.0 <= prob <= 1.0:
-                raise InvalidSpecError("class probabilities must lie in [0, 1]")
-        total = sum(prob for _, prob in self.priority_classes)
-        if abs(total - 1.0) > 1e-9:
-            raise InvalidSpecError(f"class probabilities sum to {total}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -137,8 +126,8 @@ def seed_initial_queues(cfg: SimConfig, rng: np.random.Generator | None = None) 
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
     fill = cfg.spec.fill_count(cfg.intensity)
     paths = cfg.spec.num_paths
-    classes = cfg.priority_classes
-    records = [_record(_priority_of(u, classes), 0) for u in rng.random(paths * fill).tolist()]
+    draws = rng.random(paths * fill).tolist()
+    records = [_record(_priority_of(u, PRIORITY_CLASSES), 0) for u in draws]
     queues = tuple(tuple(records[i * fill : (i + 1) * fill]) for i in range(paths))
     return TrafficSnapshot(tick=0, queues=queues)
 
@@ -149,14 +138,14 @@ def generate_arrivals(
     """Per-path arrivals for one tick: at most one vehicle per path.
 
     Each path ascending consumes one uniform draw for its Bernoulli
-    trial (probability intensity * arrival_rate_scale) and, on arrival,
+    trial (probability intensity * ARRIVAL_RATE_SCALE) and, on arrival,
     one more for the priority, keeping the stream layout fixed.
     """
-    p = cfg.intensity * cfg.arrival_rate_scale
+    p = cfg.intensity * ARRIVAL_RATE_SCALE
     out = []
     for _ in range(cfg.spec.num_paths):
         if rng.random() < p:
-            out.append((VehicleRecord(draw_priority(rng, cfg.priority_classes), 0),))
+            out.append((VehicleRecord(draw_priority(rng, PRIORITY_CLASSES), 0),))
         else:
             out.append(())
     return tuple(out)
@@ -201,18 +190,19 @@ def run_episode(
     wait log records one row per departed vehicle in departure order. A
     vehicle's wait counts every tick since it joined its queue, so its
     enter tick is the departure tick minus its wait.
+
+    Every policy runs under solver_cfg's dynamics (default SolverConfig()),
+    and starvation events count waits above its wmax.
     """
     spec = cfg.spec
-    dyn = cfg.dynamics
     if solver_cfg is None:
-        solver_cfg = SolverConfig(dynamics=dyn)
-    if solver_cfg.dynamics != dyn:
-        raise InvalidSpecError("solver and simulator dynamics must match")
+        solver_cfg = SolverConfig()
+    dyn = solver_cfg.dynamics
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     state = seed_initial_queues(cfg, rng)
     st: ControllerState = make_controller_state(spec, policy)
-    ages = [0] * spec.num_paths
+    ages = initial_green_ages(spec, st.prev_phase, dyn)
     log: list[WaitLogEntry] = []
     rejected = 0
     phase = st.prev_phase

@@ -401,6 +401,16 @@ def test_simulate_prints_stats_and_writes_log(capsys, tmp_path):
     assert all(row.split(",")[1] == "f2" for row in log_lines[1:])
 
 
+def test_simulate_rejects_negative_wmax(capsys):
+    # only 0 turns the guard off; a negative threshold is an input error
+    code, out, err = run_cli(
+        capsys, "simulate", "--instance", INSTANCE, "--intensity", "0.3", "--wmax", "-5"
+    )
+    assert code == 2
+    assert out == ""
+    assert "wmax" in err
+
+
 def test_simulate_horizon_drains_faster_than_f2(capsys):
     # same seed and load, both must terminate; the planner should not
     # lose on mean wait at this depth of congestion

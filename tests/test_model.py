@@ -23,6 +23,8 @@ from greenlight import (
     enumerate_feasible_phases,
     exit_arm,
     is_feasible_phase,
+    load_instance,
+    save_instance,
     standard_movements,
 )
 from greenlight.errors import (
@@ -455,6 +457,34 @@ def test_fill_count_rounds_up():
     assert spec.fill_count(0.25) == 3
     assert spec.fill_count(0.0) == 0
     assert spec.fill_count(1.0) == 10
+
+
+def test_explicit_conflict_matrix_still_checks_paths(tmp_path):
+    # an explicit matrix replaces the geometric one, not the path rules
+    cm = ConflictMatrix(np.zeros((3, 3), dtype=bool))
+    with pytest.raises(InvalidSpecError):
+        IntersectionSpec(
+            arms=4,
+            paths=(Movement(0, Turn.LEFT), Movement(0, Turn.LEFT), Movement(1, Turn.STRAIGHT)),
+            max_queue_len=3,
+            conflicts=cm,
+        )
+    with pytest.raises(InvalidGeometryError):
+        IntersectionSpec(
+            arms=4,
+            paths=(Movement(0, Turn.LEFT), Movement(1, Turn.LEFT), Movement(9, Turn.STRAIGHT)),
+            max_queue_len=3,
+            conflicts=cm,
+        )
+    spec = IntersectionSpec(
+        arms=4,
+        paths=(Movement(0, Turn.LEFT), Movement(1, Turn.LEFT), Movement(2, Turn.STRAIGHT)),
+        max_queue_len=3,
+        conflicts=cm,
+    )
+    path = tmp_path / "explicit.json"
+    save_instance(spec, path)
+    assert load_instance(path) == spec
 
 
 def test_explicit_conflict_matrix_override():
