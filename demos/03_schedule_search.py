@@ -41,7 +41,11 @@ def main() -> None:
     print("visited: the admissible bound (each path serves at most one")
     print("vehicle per tick, and a path left red waits out its slow start")
     print("before the next) lets whole subtrees be discarded as soon as")
-    print("their accrued cost plus the bound reaches the incumbent.")
+    print("their accrued cost plus the bound reaches the incumbent. The")
+    print("incumbent starts from one greedy dive (the cheapest-looking")
+    print("phase at each step); the search then discards only branches")
+    print("above the dive's cost until it reaches a leaf of its own, so")
+    print("ties still go to the lexicographically first schedule.")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Command-line surface: optimize, simulate, sweep, phases, validate.
 
 Exit codes: 0 on success, 2 for unparseable or invalid inputs (JSON
-errors are reported with line and column), 3 when no feasible schedule
-exists for an optimization request.
+errors are reported with line and column) and for an `--out` path that
+cannot be written, 3 when no feasible schedule exists for an
+optimization request.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import (
 from .fileio import (
     _instance_problems,
     _load_json,
+    _write_text,
     load_instance,
     load_snapshot,
     write_wait_log,
@@ -163,9 +165,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             "nodes_explored": sol.nodes_explored,
             "elapsed_seconds": sol.elapsed_seconds,
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_text(args.out, json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -220,8 +220,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     csv_text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
+        _write_text(args.out, csv_text)
         summary_stream = sys.stdout
     else:
         sys.stdout.write(csv_text)

@@ -42,4 +42,4 @@ class InvalidCycleError(GreenlightError):
 
 
 class FileFormatError(GreenlightError):
-    """A JSON instance or snapshot file could not be parsed or validated."""
+    """A file could not be read, parsed, validated or written."""

@@ -52,6 +52,17 @@ def _load_json(path: str | Path):
         ) from exc
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    """Write text as UTF-8 with no newline translation; a path that
+    cannot be written raises FileFormatError naming it, as reads do."""
+    p = Path(path)
+    try:
+        with p.open("w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FileFormatError(f"{p}: {exc.strerror or exc}") from exc
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -182,7 +193,7 @@ def save_instance(spec: IntersectionSpec, path: str | Path) -> None:
     )
     if spec.conflicts != derived:
         doc["conflict_matrix"] = spec.conflicts.as_array().astype(int).tolist()
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def load_snapshot(path: str | Path, spec: IntersectionSpec) -> TrafficSnapshot:
@@ -248,7 +259,7 @@ def save_snapshot(
         doc = {"tick": s.tick, "array": encode_snapshot(s, spec).tolist()}
     else:
         raise InvalidSpecError(f"unknown snapshot form {form!r}")
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def format_wait_log(entries: tuple[WaitLogEntry, ...] | list[WaitLogEntry]) -> str:
@@ -266,4 +277,4 @@ def write_wait_log(
     entries: tuple[WaitLogEntry, ...] | list[WaitLogEntry], path: str | Path
 ) -> None:
     """Write the per-vehicle wait log as a CSV file."""
-    Path(path).write_text(format_wait_log(entries), encoding="utf-8")
+    _write_text(path, format_wait_log(entries))

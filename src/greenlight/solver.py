@@ -7,6 +7,18 @@ first minimum-cost leaf reached in that order is the lexicographically
 smallest one, the returned schedule is deterministic and matches the
 oracle's tie-break exactly.
 
+For k > 1 the incumbent is seeded before the search by one greedy dive
+(the primal heuristic of branch and bound, Land & Doig 1960): from the
+root it follows, at each depth, the first candidate of least accrued
+cost plus bound, down to one leaf of exact cost c. The search then
+starts from best_cost = c + 1 with no incumbent schedule. Costs are
+integers, so the usual `total >= best_cost` prune discards only totals
+above c until the search reaches its own first leaf; every leaf of cost
+at most c, the optimum included, is still reached in ascending mask
+order, and ties keep the oracle's lexicographic winner with no flag for
+a heuristic incumbent. The dive's own path is never pruned, since its
+totals never exceed c.
+
 Since slow_start < phase_ticks, a path entering a block is either warm
 (open in the previous phase, so it can release a vehicle on the first
 tick) or cold (it waits slow_start ticks first); its exact green age
@@ -80,7 +92,11 @@ class Solution:
 
     nodes_explored counts candidate-phase applications: one per phase
     tried at any depth of the search tree. The oracle counts the same
-    events without pruning, so optimize_schedule never exceeds it.
+    events without pruning, so optimize_schedule never exceeds it. The
+    greedy dive that seeds the incumbent is not counted. It expands at
+    most k nodes, trying every candidate at each, so counting it could
+    exceed the oracle: on an empty snapshot of two crossing paths at
+    k = 2, dive plus search would count 4 + 4 = 8 against the oracle's 6.
     """
 
     schedule: tuple[Phase, ...]
@@ -226,6 +242,12 @@ def optimize_schedule(
     and the slow-start-aware bound come from per-path tables, memoised
     across calls by `_tables`, so a candidate costs one lookup per open
     queued path.
+
+    For k > 1 a greedy dive through the same `dfs` (same tables, guard
+    filter and node expansion) first reaches one leaf of cost c, and the
+    search starts from best_cost = c + 1: it prunes strictly above c, so
+    every minimal leaf and the tie-break survive (see the module
+    docstring). The dive's expansions are not counted in `nodes_explored`.
     """
     t0 = time.perf_counter()
     spec.validate_snapshot(s)
@@ -262,9 +284,10 @@ def optimize_schedule(
     nodes = 0
     chosen: list[Phase] = []
 
-    def dfs(depth: int, accrued: int, d: list[int], warm: int, live: int) -> None:
+    def dfs(depth: int, accrued: int, d: list[int], warm: int, live: int, dive: bool) -> None:
         # warm: mask of paths open in the previous block; live: mask of
-        # paths with vehicles still queued
+        # paths with vehicles still queued; dive: follow only the first
+        # candidate of least total, down to one leaf
         nonlocal best_cost, best_schedule, nodes
         cands = base
         elapsed = depth * big_d
@@ -296,6 +319,21 @@ def optimize_schedule(
             closed_total += c + bound_row[i][di]
             entry = opening[i] = rows[warm >> i & 1][i][di]
             change[i] = entry[0]
+        if dive:
+            # keep the first candidate of least total; all share accrued +
+            # closed_total, so compare the open paths' changes
+            low = None
+            for ph in cands:
+                m = ph.mask & live
+                opened = bits.get(m)
+                if opened is None:
+                    opened = bits[m] = tuple(i for i in range(paths) if m >> i & 1)
+                gain = 0
+                for i in opened:
+                    gain += change[i]
+                if low is None or gain < low:
+                    low, pick = gain, ph
+            cands = (pick,)
         leaf = depth == k - 1
         for ph in cands:
             m = ph.mask & live
@@ -322,11 +360,18 @@ def optimize_schedule(
                 if e == lens[i]:
                     live2 &= ~(1 << i)
             chosen.append(ph)
-            dfs(depth + 1, acc, d2, ph.mask, live2)
+            dfs(depth + 1, acc, d2, ph.mask, live2, dive)
             chosen.pop()
 
     live0 = sum(1 << i for i in range(paths) if lens[i])
-    dfs(0, 0, [0] * paths, prev_phase.mask, live0)
+    if k > 1:
+        dfs(0, 0, [0] * paths, prev_phase.mask, live0, True)
+        # prune strictly above the dive's cost until the search's own first
+        # leaf, so every leaf of cost <= it is still reached in mask order
+        best_cost += 1
+        best_schedule = None
+        nodes = 0
+    dfs(0, 0, [0] * paths, prev_phase.mask, live0, False)
     assert best_schedule is not None and best_cost is not None
     return Solution(best_schedule, best_cost, nodes, time.perf_counter() - t0)
 

@@ -80,6 +80,24 @@ def test_optimize_writes_json_report(capsys, tmp_path):
     assert report["elapsed_seconds"] >= 0.0
 
 
+def assert_unwritable_out(code, err, out_path):
+    # exit 2 and one `error: <path>: <reason>` line, the form a failed
+    # read uses, rather than a traceback
+    assert code == 2
+    assert err.startswith(f"error: {out_path}: ")
+    assert err.count("\n") == 1
+    assert not out_path.exists()
+
+
+def test_optimize_unwritable_out_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "report.json"
+    code, _, err = run_cli(
+        capsys, "optimize", "--instance", INSTANCE, "--snapshot", SNAPSHOT,
+        "--out", str(out_path),
+    )
+    assert_unwritable_out(code, err, out_path)
+
+
 def test_optimize_empty_snapshot_costs_zero(capsys, tmp_path):
     spec = load_instance(INSTANCE)
     snap_path = tmp_path / "empty.json"
@@ -305,6 +323,12 @@ def test_sweep_csv_shape_and_fields(capsys, tmp_path):
     assert set(seeds) == {5, 6}
 
 
+def test_sweep_unwritable_out_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "sweep.csv"
+    code, _, err = run_cli(capsys, *sweep_args(out_path))
+    assert_unwritable_out(code, err, out_path)
+
+
 def test_sweep_without_out_prints_csv_to_stdout(capsys):
     code, out, err = run_cli(
         capsys,
@@ -399,6 +423,15 @@ def test_simulate_prints_stats_and_writes_log(capsys, tmp_path):
     assert len(log_lines) == 1 + throughput
     assert all(row.split(",")[0] == "3" for row in log_lines[1:])
     assert all(row.split(",")[1] == "f2" for row in log_lines[1:])
+
+
+def test_simulate_unwritable_out_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "waits.csv"
+    code, _, err = run_cli(
+        capsys, "simulate", "--instance", INSTANCE, "--intensity", "0.3",
+        "--out", str(out_path),
+    )
+    assert_unwritable_out(code, err, out_path)
 
 
 def test_simulate_rejects_negative_wmax(capsys):

@@ -329,6 +329,79 @@ def test_search_matches_oracle_with_guard_at_default_timing(horizon):
         assert sol.nodes_explored <= orc.nodes_explored
 
 
+def test_search_beats_a_strictly_suboptimal_greedy_dive():
+    # path 0 holds two priority-1 vehicles, path 1 one priority-2; D=1,
+    # S=0, k=2. At the root both phases total 3 (block cost plus bound):
+    # {0} pays 1 + 2 and its bound is 0, {1} pays 2 and its bound is 1.
+    # The dive keeps the first, {0}, and its best finish {1} costs 3 + 1
+    # = 4. The optimum serves the heavy vehicle first: 2 + 1 = 3.
+    spec = crossing_pair_spec()
+    s = snapshot_with(spec, {0: [(1, 0), (1, 0)], 1: [(2, 0)]})
+    dyn = DynamicsConfig(phase_ticks=1, slow_start=0)
+    cfg = SolverConfig(horizon=2, dynamics=dyn)
+    p0, p1 = spec.conflicts.maximal_phases()
+    assert rollout_cost(spec, s, (p0, p1), spec.all_closed(), dyn)[0] == 4
+    sol = optimize_schedule(spec, s, spec.all_closed(), cfg)
+    orc = exhaustive_oracle(spec, s, spec.all_closed(), cfg)
+    assert sol.schedule == orc.schedule == (p1, p0)
+    assert sol.cost == orc.cost == 3
+    assert sol.nodes_explored <= orc.nodes_explored
+
+
+def test_search_keeps_the_lex_smallest_optimum_when_the_dive_ties():
+    # path 0 holds one priority-1 vehicle, path 1 two; D=1, S=0, k=2. At
+    # the root {0} totals 2 + 1 = 3 and {1} totals 2 + 0 = 2, so the dive
+    # takes {1}, then {0}: cost 2 + 1 = 3, the optimum. ({0}, {1}) also
+    # costs 3 and is lexicographically smaller; its root total equals the
+    # dive's cost, so only a strict prune above that cost still finds it.
+    spec = crossing_pair_spec()
+    s = snapshot_with(spec, {0: [(1, 0)], 1: [(1, 0), (1, 0)]})
+    dyn = DynamicsConfig(phase_ticks=1, slow_start=0)
+    cfg = SolverConfig(horizon=2, dynamics=dyn)
+    p0, p1 = spec.conflicts.maximal_phases()
+    assert rollout_cost(spec, s, (p1, p0), spec.all_closed(), dyn)[0] == 3
+    sol = optimize_schedule(spec, s, spec.all_closed(), cfg)
+    orc = exhaustive_oracle(spec, s, spec.all_closed(), cfg)
+    assert sol.schedule == orc.schedule == (p0, p1)
+    assert sol.cost == orc.cost == 3
+    assert sol.nodes_explored <= orc.nodes_explored
+
+
+def test_search_matches_oracle_on_tie_heavy_instances():
+    # every priority is 1, so many schedules share the optimal cost; in
+    # some instances the greedy dive's leaf ties with a lexicographically
+    # smaller optimum, in others it misses the optimum. Maximal and
+    # all-feasible candidates, k = 2 and 3, any feasible previous phase
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    for horizon in (2, 3):
+        for maximal_only in (True, False):
+            for _ in range(100):
+                spec = random_junction(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
+                queues = tuple(
+                    tuple(
+                        VehicleRecord(1, int(rng.integers(0, 20)))
+                        for _ in range(int(rng.integers(0, spec.max_queue_len + 1)))
+                    )
+                    for _ in range(spec.num_paths)
+                )
+                s = TrafficSnapshot(0, queues)
+                slow_start, phase_ticks = TIMINGS[int(rng.integers(0, len(TIMINGS)))]
+                dyn = DynamicsConfig(phase_ticks=phase_ticks, slow_start=slow_start)
+                cfg = SolverConfig(horizon=horizon, maximal_only=maximal_only, dynamics=dyn)
+                feasible = enumerate_feasible_phases(spec.conflicts, maximal_only=False)
+                prev = feasible[int(rng.integers(0, len(feasible)))]
+                if len(candidate_phases(spec, s, prev, cfg)) ** horizon > 800:
+                    continue
+                sol = optimize_schedule(spec, s, prev, cfg)
+                orc = exhaustive_oracle(spec, s, prev, cfg)
+                assert sol.schedule == orc.schedule
+                assert sol.cost == orc.cost
+                assert sol.nodes_explored <= orc.nodes_explored
+                checked += 1
+    assert checked >= 300
+
+
 def test_search_bound_is_admissible_and_above_lower_bound():
     # the bound the search adds after a first block, read from the path
     # tables as the search reads it, against the exact cheapest
