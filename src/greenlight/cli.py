@@ -9,14 +9,18 @@ optimization request.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
+from pathlib import Path
 
 from .dynamics import DynamicsConfig
 from .errors import (
     ConstraintViolationError,
+    FileFormatError,
     GreenlightError,
     NoFeasibleScheduleError,
 )
@@ -147,6 +151,18 @@ def _solver_from(args: argparse.Namespace) -> SolverConfig:
     )
 
 
+def _check_out_dir(out: str | None) -> None:
+    """Fail before any episode runs if `out`'s parent is not an existing
+    directory, in the `<path>: <reason>` form of a failed write. Creates
+    and truncates nothing."""
+    if out is None:
+        return
+    p = Path(out)
+    if not p.parent.is_dir():
+        code = errno.ENOTDIR if p.parent.exists() else errno.ENOENT
+        raise FileFormatError(f"{p}: {os.strerror(code)}")
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
     spec = load_instance(args.instance)
     snap = load_snapshot(args.snapshot, spec)
@@ -178,6 +194,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         mode=SimMode(args.mode),
     )
+    _check_out_dir(args.out)
     stats, log = run_episode(cfg, PolicyKind(args.policy), solver_cfg)
     print(f"mean_wait_ticks: {stats.mean_wait:.6f}")
     print(f"mean_wait_seconds: {stats.mean_wait_seconds:.6f}")
@@ -202,6 +219,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         policies=args.policy,
         base_seed=args.seed,
     )
+    _check_out_dir(args.out)
 
     lines = [SWEEP_HEADER]
     cells = []  # (intensity, policy, stats of its runs), in sweep order

@@ -34,8 +34,16 @@ across calls, decisions and episodes: a bounded `functools.lru_cache`
 of 1,024 entries keyed on exactly those four values. An entry's size
 scales with k x (queue length + 1); at the default sizes (k = 3, queues
 of up to 21 vehicles) the memo holds about 5 MB at most. Sharing is safe
-because the tables are nested tuples, which no caller can change. On the C3 drain grid about 93% of lookups hit the
-memo.
+because the tables are nested tuples, which no caller can change. On
+the C3 drain grid about 93% of lookups hit the memo.
+
+The index from a mask to the indices of its set bits (the paths it
+opens) is shared the same way: `_bits`, a plain dict at module level,
+filled on first use by `_set_bits` and cleared once it holds
+`_BITS_MAXSIZE` = 65,536 entries, about 12 MB at most. A mask's set
+bits depend on the mask alone, not on the call, junction or queue, so
+one index serves every call; keys are plain ints and values are
+tuples, so no caller can change what another reads.
 
 The bound is slow-start aware. Over the R ticks after a block, the j-th
 vehicle still queued on a path pays at least min(j, R) if the block
@@ -227,6 +235,24 @@ def _tables(priorities: tuple[int, ...], big_d: int, small_s: int, k: int):
     return closed, tuple(cold_bound), tuple(cold), tuple(warm)
 
 
+_BITS_MAXSIZE = 1 << 16
+# mask -> indices of its set bits, shared by every call (see _set_bits)
+_bits: dict[int, tuple[int, ...]] = {}
+
+
+def _set_bits(m: int) -> tuple[int, ...]:
+    """Indices of the set bits of mask m, ascending, stored in `_bits`.
+
+    The answer depends on m alone, so one index serves every call,
+    junction and queue. It is cleared once it holds `_BITS_MAXSIZE`
+    entries (about 190 B each by tracemalloc, so about 12 MB at most).
+    """
+    if len(_bits) >= _BITS_MAXSIZE:
+        _bits.clear()
+    got = _bits[m] = tuple(i for i in range(m.bit_length()) if m >> i & 1)
+    return got
+
+
 def optimize_schedule(
     spec: IntersectionSpec,
     s: TrafficSnapshot,
@@ -241,7 +267,10 @@ def optimize_schedule(
     previous phase's mask, since slow_start < phase_ticks). Block costs
     and the slow-start-aware bound come from per-path tables, memoised
     across calls by `_tables`, so a candidate costs one lookup per open
-    queued path.
+    queued path. The open paths of a mask come from `_bits`, the
+    module's shared mask index (bounded by `_BITS_MAXSIZE` entries;
+    safe to share because a mask's set bits depend on nothing else and
+    its entries are int keys and tuple values).
 
     For k > 1 a greedy dive through the same `dfs` (same tables, guard
     filter and node expansion) first reaches one leaf of cost c, and the
@@ -276,8 +305,7 @@ def optimize_schedule(
     ]
     oldest = max((w for q in waits for w in q), default=-1)
     guarded: dict[int, tuple[Phase, ...]] = {}
-    # indices of the set bits of a mask, filled on demand
-    bits: dict[int, tuple[int, ...]] = {}
+    bits = _bits
 
     best_cost: int | None = None
     best_schedule: tuple[Phase, ...] | None = None
@@ -305,7 +333,7 @@ def optimize_schedule(
         bound_row, rows = levels[depth]
         queued = bits.get(live)
         if queued is None:
-            queued = bits[live] = tuple(i for i in range(paths) if live >> i & 1)
+            queued = _set_bits(live)
         closed_cost = 0
         closed_total = 0
         # each queued path's table entry if opened, and that entry's
@@ -327,7 +355,7 @@ def optimize_schedule(
                 m = ph.mask & live
                 opened = bits.get(m)
                 if opened is None:
-                    opened = bits[m] = tuple(i for i in range(paths) if m >> i & 1)
+                    opened = _set_bits(m)
                 gain = 0
                 for i in opened:
                     gain += change[i]
@@ -339,7 +367,7 @@ def optimize_schedule(
             m = ph.mask & live
             opened = bits.get(m)
             if opened is None:
-                opened = bits[m] = tuple(i for i in range(paths) if m >> i & 1)
+                opened = _set_bits(m)
             total = accrued + closed_total
             for i in opened:
                 total += change[i]

@@ -434,6 +434,32 @@ def test_simulate_unwritable_out_exits_2(capsys, tmp_path):
     assert_unwritable_out(code, err, out_path)
 
 
+def test_unwritable_out_fails_before_any_episode(capsys, monkeypatch, tmp_path):
+    # a missing output directory is reported before any episode runs,
+    # and a parent that is a file is refused the same way
+    calls = []
+    real = cli.run_episode
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_episode", counted)
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    for parent in (tmp_path / "missing", a_file):
+        out_path = parent / "sweep.csv"
+        code, _, err = run_cli(capsys, *sweep_args(out_path))
+        assert_unwritable_out(code, err, out_path)
+        out_path = parent / "waits.csv"
+        code, _, err = run_cli(
+            capsys, "simulate", "--instance", INSTANCE, "--intensity", "0.3",
+            "--out", str(out_path),
+        )
+        assert_unwritable_out(code, err, out_path)
+    assert calls == []
+
+
 def test_simulate_rejects_negative_wmax(capsys):
     # only 0 turns the guard off; a negative threshold is an input error
     code, out, err = run_cli(

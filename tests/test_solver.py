@@ -28,7 +28,8 @@ from greenlight import (
 )
 from greenlight.cli import main as cli_main
 from greenlight.errors import InvalidSpecError, OracleTooLargeError, TooManyPhasesError
-from greenlight.solver import _tables
+import greenlight.solver as solver
+from greenlight.solver import _bits, _set_bits, _tables
 
 
 def snapshot_with(spec, path_queues, tick=0):
@@ -588,3 +589,78 @@ def test_table_memo_stays_bounded_after_drain_sweep(tmp_path):
     assert info.maxsize == 1 << 10
     assert 0 < info.currsize <= info.maxsize
     assert info.hits > 0
+
+
+def width_inputs(rng, spec, snapshots=2):
+    """Seeded snapshots of `spec` with a random subset of paths emptied,
+    each with a random feasible (or all-closed) previous phase."""
+    feasible = (spec.all_closed(),) + spec.conflicts.feasible_phases()
+    out = []
+    for seed in range(snapshots):
+        full = seed_initial_queues(SimConfig(spec=spec, intensity=1.0, seed=seed))
+        keep = rng.random(spec.num_paths) < 0.7
+        s = TrafficSnapshot(0, tuple(q if k else () for q, k in zip(full.queues, keep)))
+        out.append((s, feasible[int(rng.integers(0, len(feasible)))]))
+    return out
+
+
+def test_search_matches_oracle_across_widths_sharing_the_bit_index():
+    # 9, 12 and 15 paths read one mask index; the second pass runs the
+    # widths in reverse, so it reads entries the other widths made
+    rng = np.random.default_rng(3145)
+    specs = [IntersectionSpec.standard(arms=a, max_queue_len=2) for a in (3, 4, 5)]
+    inputs = {spec.arms: width_inputs(rng, spec) for spec in specs}
+    _bits.clear()
+    for order in (specs, specs[::-1]):
+        for spec in order:
+            for maximal_only in (True, False):
+                conflicts = spec.conflicts
+                n = len(conflicts.maximal_phases() if maximal_only else conflicts.feasible_phases())
+                for k in (1, 2, 3):
+                    # deeper plans only while the oracle enumerates at
+                    # most 1,500 schedules, to keep its rollouts quick
+                    if k > 1 and n**k > 1500:
+                        continue
+                    cfg = SolverConfig(horizon=k, maximal_only=maximal_only)
+                    for s, prev in inputs[spec.arms]:
+                        sol = optimize_schedule(spec, s, prev, cfg)
+                        orc = exhaustive_oracle(spec, s, prev, cfg)
+                        assert sol.schedule == orc.schedule
+                        assert sol.cost == orc.cost
+                        assert sol.nodes_explored <= orc.nodes_explored
+    # masks of the 15-path junction reach past the 9-path one's bits
+    assert max(_bits).bit_length() > 9
+
+
+def test_bit_index_stays_bounded_without_changing_plans(monkeypatch):
+    spec = IntersectionSpec.standard(max_queue_len=3)
+    rng = np.random.default_rng(2718)
+    plans = [
+        (s, prev, SolverConfig(horizon=k, maximal_only=maximal_only))
+        for s, prev in width_inputs(rng, spec, snapshots=3)
+        for k, maximal_only in ((1, False), (2, True), (3, True))
+    ]
+
+    def solve_all():
+        return [
+            (sol.schedule, sol.cost, sol.nodes_explored)
+            for sol in (optimize_schedule(spec, s, prev, cfg) for s, prev, cfg in plans)
+        ]
+
+    _bits.clear()
+    reference = solve_all()
+    assert len(_bits) > 8
+
+    sizes = []
+
+    def recorded(m):
+        got = _set_bits(m)
+        sizes.append(len(_bits))
+        return got
+
+    monkeypatch.setattr(solver, "_BITS_MAXSIZE", 8)
+    monkeypatch.setattr(solver, "_set_bits", recorded)
+    _bits.clear()
+    assert solve_all() == reference
+    assert len(sizes) > 8
+    assert max(sizes) == 8
