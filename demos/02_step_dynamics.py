@@ -37,7 +37,7 @@ def main() -> None:
     ages = [0] * 12
     for tick in range(3):
         out = step(spec, state, phase, ages, cfg)
-        ages = [a + 1 if phase.is_open(i) else 0 for i, a in enumerate(ages)]
+        ages = out.green_age
         state = out.next
         left = ", ".join(f"path {p} vehicle (p{v.priority}) after waiting {v.wait}"
                          for p, v in out.departed) or "nobody"

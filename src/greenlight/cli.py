@@ -152,12 +152,14 @@ def _solver_from(args: argparse.Namespace) -> SolverConfig:
 
 
 def _check_out_dir(out: str | None) -> None:
-    """Fail before any episode runs if `out`'s parent is not an existing
-    directory, in the `<path>: <reason>` form of a failed write. Creates
-    and truncates nothing."""
+    """Fail before any search or episode runs if `out` names a directory
+    or its parent is not an existing directory, in the `<path>: <reason>`
+    form of a failed write. Creates and truncates nothing."""
     if out is None:
         return
     p = Path(out)
+    if p.is_dir():
+        raise FileFormatError(f"{p}: {os.strerror(errno.EISDIR)}")
     if not p.parent.is_dir():
         code = errno.ENOTDIR if p.parent.exists() else errno.ENOENT
         raise FileFormatError(f"{p}: {os.strerror(code)}")
@@ -167,6 +169,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     spec = load_instance(args.instance)
     snap = load_snapshot(args.snapshot, spec)
     cfg = _solver_from(args)
+    _check_out_dir(args.out)
     sol = optimize_schedule(spec, snap, spec.all_closed(), cfg)
     for idx, ph in enumerate(sol.schedule, 1):
         opened = " ".join(str(i) for i in ph.open_paths())

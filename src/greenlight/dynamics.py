@@ -8,7 +8,7 @@ therefore accumulate priority-weighted completed waiting ticks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConstraintViolationError, DimensionError, InvalidSpecError
@@ -49,11 +49,12 @@ class DynamicsConfig:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """Result of one tick: next state, who departed, and the tick's cost."""
+    """One tick's next state, departures, cost and next green ages."""
 
     next: TrafficSnapshot
-    departed: tuple[tuple[int, VehicleRecord], ...] = field(default=())
-    tick_cost: int = 0
+    departed: tuple[tuple[int, VehicleRecord], ...]
+    tick_cost: int
+    green_age: tuple[int, ...]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -82,8 +83,10 @@ def step(
     `cfg.slow_start`. In order: departures happen, remaining vehicles age
     by one tick, and the tick cost is the total priority left waiting. A
     departing vehicle is recorded with its wait as of this tick and does
-    not pay for the tick in which it leaves. The caller threads green ages
-    across ticks; ages of closed paths are ignored.
+    not pay for the tick in which it leaves. Ages of closed paths are
+    ignored. `StepOutcome.green_age` holds the ages entering the next
+    tick, age + 1 for an open path and 0 for a closed one; the caller
+    passes it to the next call under any phase.
 
     Aged vehicles are looked up in a bounded memo keyed on
     (priority, wait + 1) instead of being rebuilt, so a tick costs one
@@ -110,6 +113,7 @@ def step(
         next=TrafficSnapshot(tick=s.tick + 1, queues=tuple(next_queues)),
         departed=tuple(departed),
         tick_cost=sum([v.priority for q in next_queues for v in q]),
+        green_age=tuple([a + 1 if mask >> i & 1 else 0 for i, a in enumerate(green_age)]),
     )
 
 
@@ -141,12 +145,11 @@ def rollout_cost(
     total = 0
     state = s
     for phase in schedule:
-        mask = phase.mask
         for _ in range(cfg.phase_ticks):
             out = step(spec, state, phase, ages, cfg)
             total += out.tick_cost
             state = out.next
-            ages = [a + 1 if mask >> i & 1 else 0 for i, a in enumerate(ages)]
+            ages = out.green_age
     return total, state
 
 

@@ -240,8 +240,7 @@ def run_episode(
                     wait_ticks=rec.wait,
                 )
             )
-        mask = phase.mask
-        ages = [a + 1 if mask >> i & 1 else 0 for i, a in enumerate(ages)]
+        ages = out.green_age
         state = out.next
         st.prev_phase = phase
 

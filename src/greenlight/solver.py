@@ -51,8 +51,11 @@ left the path open, and min(j + slow_start, R) if it left it closed,
 because a closed path must turn green again before anyone leaves. The
 bound is admissible and never below `dynamics.lower_bound`.
 
-The oracle recomputes every leaf through the public tick dynamics
-instead, so the two routes share no cost code.
+The oracle instead chains one-block `dynamics.rollout_cost` calls, each
+from the state and phase the previous block left. A path open in the
+previous phase starts a block at age slow_start; its true age is at least
+phase_ticks > slow_start, and `step` only tests age >= slow_start, so the
+same vehicles leave on every tick. The two routes share no cost code.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .dynamics import DynamicsConfig, initial_green_ages, rollout_cost, step
+from .dynamics import DynamicsConfig, rollout_cost
 from .errors import InvalidSpecError, NoFeasibleScheduleError, OracleTooLargeError
 from .model import (
     IntersectionSpec,
@@ -413,53 +416,41 @@ def exhaustive_oracle(
 ) -> Solution:
     """Enumerate every candidate schedule and keep the cheapest.
 
-    Each leaf is costed with a full rollout through the public tick
-    dynamics from the root snapshot, independently of any incremental
-    bookkeeping, so this is a true cross-check for optimize_schedule.
-    Ties break to the lexicographically smallest schedule, same as the
-    optimizer. Refuses instances whose enumeration would exceed `cap`
-    schedules.
+    Each candidate block is costed by `rollout_cost` from the state the
+    blocks before it left, with the previous block's phase as its
+    `prev_phase`, and a leaf's cost is the sum of its blocks. That is
+    exact because slow_start < phase_ticks (see the module docstring), and
+    it shares no cost code with optimize_schedule's tables. Ties break to
+    the lexicographically smallest schedule, same as the optimizer.
+    Refuses instances whose enumeration could exceed `cap` schedules,
+    projected from the unguarded candidate count, which bounds every depth.
     """
     t0 = time.perf_counter()
-    spec.validate_snapshot(s)
-    dyn = cfg.dynamics
-    root = candidate_phases(spec, s, prev_phase, cfg)
-    if not root:
+    if not candidate_phases(spec, s, prev_phase, cfg):
         raise NoFeasibleScheduleError("no feasible candidate phase exists")
-    if len(root) ** cfg.horizon > cap:
-        raise OracleTooLargeError(
-            f"{len(root)}^{cfg.horizon} schedules exceed the cap of {cap}"
-        )
+    width = len(_base_phases(spec, cfg))
+    if width ** cfg.horizon > cap:
+        raise OracleTooLargeError(f"{width}^{cfg.horizon} schedules exceed the cap of {cap}")
 
     best_cost: int | None = None
     best_schedule: tuple[Phase, ...] | None = None
     nodes = 0
     prefix: list[Phase] = []
 
-    def advance(state: TrafficSnapshot, phase: Phase, ages: list[int]):
-        ages = ages.copy()
-        for _ in range(dyn.phase_ticks):
-            out = step(spec, state, phase, ages, dyn)
-            state = out.next
-            for i in range(spec.num_paths):
-                ages[i] = ages[i] + 1 if phase.is_open(i) else 0
-        return state, ages
-
-    def recurse(depth: int, state: TrafficSnapshot, ages: list[int], prev: Phase) -> None:
+    def recurse(depth: int, state: TrafficSnapshot, prev: Phase, accrued: int) -> None:
         nonlocal best_cost, best_schedule, nodes
         if depth == cfg.horizon:
-            cost, _ = rollout_cost(spec, s, tuple(prefix), prev_phase, dyn)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
+            if best_cost is None or accrued < best_cost:
+                best_cost = accrued
                 best_schedule = tuple(prefix)
             return
         for ph in candidate_phases(spec, state, prev, cfg):
             nodes += 1
-            nxt, ages2 = advance(state, ph, ages)
+            cost, nxt = rollout_cost(spec, state, (ph,), prev, cfg.dynamics)
             prefix.append(ph)
-            recurse(depth + 1, nxt, ages2, ph)
+            recurse(depth + 1, nxt, ph, accrued + cost)
             prefix.pop()
 
-    recurse(0, s, initial_green_ages(spec, prev_phase, dyn), prev_phase)
+    recurse(0, s, prev_phase, 0)
     assert best_schedule is not None and best_cost is not None
     return Solution(best_schedule, best_cost, nodes, time.perf_counter() - t0)

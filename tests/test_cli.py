@@ -96,6 +96,13 @@ def test_optimize_unwritable_out_exits_2(capsys, tmp_path):
         "--out", str(out_path),
     )
     assert_unwritable_out(code, err, out_path)
+    # an out path that names a directory is refused before the search
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    code, out, err = run_cli(
+        capsys, "optimize", "--instance", INSTANCE, "--snapshot", SNAPSHOT, "--out", str(a_dir)
+    )
+    assert (code, out, err) == (2, "", f"error: {a_dir}: Is a directory\n")
 
 
 def test_optimize_empty_snapshot_costs_zero(capsys, tmp_path):
@@ -457,6 +464,16 @@ def test_unwritable_out_fails_before_any_episode(capsys, monkeypatch, tmp_path):
             "--out", str(out_path),
         )
         assert_unwritable_out(code, err, out_path)
+    # an out path that names a directory is refused the same way
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    simulate = ["simulate", "--instance", INSTANCE, "--intensity", "0.3", "--out", str(a_dir)]
+    for args in (sweep_args(a_dir), simulate):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {a_dir}: Is a directory\n"
+    assert not any(a_dir.iterdir())
     assert calls == []
 
 

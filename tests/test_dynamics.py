@@ -271,16 +271,22 @@ def test_property_tick_cost_is_remaining_priority_sum(raw_queues):
     assert out.tick_cost == sum(v.priority for q in out.next.queues for v in q)
 
 
-@given(tri_snapshot_strategy(), st.integers(min_value=1, max_value=3))
+@given(tri_snapshot_strategy(), st.integers(min_value=1, max_value=3), st.data())
 @settings(max_examples=50)
-def test_property_rollout_equals_summed_tick_costs(raw_queues, k):
-    # re-accumulate the trajectory one step at a time and compare
+def test_property_rollout_equals_summed_tick_costs(raw_queues, k, data):
+    # re-accumulate the trajectory one step at a time and compare, then
+    # chain one-block rollouts, each from the previous block's phase: a
+    # path open across blocks starts each at age slow_start instead of
+    # its true age, which slow_start < phase_ticks makes exact
     spec = tri_spec()
-    cfg = DynamicsConfig(phase_ticks=2, slow_start=1)
+    cfg = data.draw(st.sampled_from((DynamicsConfig(phase_ticks=2, slow_start=1), DynamicsConfig())))
     s = snapshot_with(spec, dict(enumerate(raw_queues)))
-    phases = enumerate_feasible_phases(spec.conflicts, maximal_only=True)
-    schedule = tuple(phases[i % len(phases)] for i in range(k))
-    prev = spec.all_closed()
+    # every left turn is compatible, so the one maximal phase opens all
+    # three paths; schedules also draw the partial phases, so paths close
+    # and reopen between blocks
+    phases = enumerate_feasible_phases(spec.conflicts, maximal_only=False)
+    schedule = tuple(data.draw(st.lists(st.sampled_from(phases), min_size=k, max_size=k)))
+    prev = data.draw(st.sampled_from((spec.all_closed(),) + spec.conflicts.maximal_phases()))
 
     total, final = rollout_cost(spec, s, schedule, prev, cfg)
 
@@ -297,6 +303,14 @@ def test_property_rollout_equals_summed_tick_costs(raw_queues, k):
     assert total == acc
     assert final == cur
 
+    chained = 0
+    cur = s
+    for block_prev, phase in zip((prev,) + schedule, schedule):
+        cost, cur = rollout_cost(spec, cur, (phase,), block_prev, cfg)
+        chained += cost
+    assert chained == total
+    assert cur == final
+
 
 def reference_step(spec, s, phase, green_age, cfg):
     """One tick written out plainly, building a fresh record per vehicle."""
@@ -310,7 +324,8 @@ def reference_step(spec, s, phase, green_age, cfg):
         aged = tuple(VehicleRecord(v.priority, v.wait + 1) for v in q)
         tick_cost += sum(v.priority for v in aged)
         queues.append(aged)
-    return TrafficSnapshot(s.tick + 1, tuple(queues)), tuple(departed), tick_cost
+    ages = tuple(green_age[i] + 1 if phase.is_open(i) else 0 for i in range(spec.num_paths))
+    return TrafficSnapshot(s.tick + 1, tuple(queues)), tuple(departed), tick_cost, ages
 
 
 STEP_TIMINGS = (
@@ -332,10 +347,11 @@ def test_property_step_matches_fresh_record_reference(data):
     cfg = data.draw(st.sampled_from(STEP_TIMINGS))
 
     out = step(spec, s, phase, ages, cfg)
-    ref_next, ref_departed, ref_cost = reference_step(spec, s, phase, ages, cfg)
+    ref_next, ref_departed, ref_cost, ref_ages = reference_step(spec, s, phase, ages, cfg)
     assert out.next == ref_next
     assert out.departed == ref_departed
     assert out.tick_cost == ref_cost
+    assert out.green_age == ref_ages
     for q in out.next.queues:
         for v in q:
             assert type(v) is VehicleRecord

@@ -213,6 +213,11 @@ def test_oracle_refuses_oversized_search():
     cfg = SolverConfig(horizon=3)
     with pytest.raises(OracleTooLargeError):
         exhaustive_oracle(spec, spec.empty_snapshot(), spec.all_closed(), cfg, cap=100)
+    # the guard narrows the root to 3 phases (3^3 = 27), but it lifts once
+    # the overdue vehicle leaves, so 3 x 12 x 12 = 432 leaves lie below it
+    guarded = snapshot_with(spec, {1: [(1, 70), (1, 0)]})
+    with pytest.raises(OracleTooLargeError):
+        exhaustive_oracle(spec, guarded, spec.all_closed(), cfg, cap=27)
 
 
 def random_junction(rng, paths, max_queue_len):
