@@ -130,7 +130,8 @@ class ConflictMatrix:
 
     Instances are immutable values; derived structures (per-path conflict
     bit masks, the maximal-phase list and its open paths, the all-feasible
-    list) are computed lazily, at most once per matrix, and cached.
+    list, the clique cover) are computed lazily, at most once per matrix,
+    and cached.
     """
 
     def __init__(self, data: np.ndarray):
@@ -149,6 +150,7 @@ class ConflictMatrix:
         self._maximal: tuple[Phase, ...] | None = None
         self._maximal_paths: tuple[tuple[int, ...], ...] | None = None
         self._feasible: tuple[Phase, ...] | None = None
+        self._cliques: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def paths(self) -> int:
@@ -189,6 +191,20 @@ class ConflictMatrix:
         if self._maximal_paths is None:
             self._maximal_paths = tuple(ph.open_paths() for ph in self.maximal_phases())
         return self._maximal_paths
+
+    def clique_cover(self) -> tuple[tuple[int, ...], ...]:
+        """Disjoint cliques of the conflict graph, each of two or more paths.
+
+        Every feasible phase opens at most one path of each clique. The
+        cover is greedy by degree: seed a clique with the uncovered path of
+        most conflicts that still conflicts with an uncovered path, then
+        add the uncovered path of most conflicts that conflicts with every
+        member, until none is left; ties go to the lowest index. Paths left
+        over stay singletons and are not listed. Each clique is ascending.
+        """
+        if self._cliques is None:
+            self._cliques = _greedy_clique_cover(self.neighbor_masks())
+        return self._cliques
 
     def feasible_phases(self) -> tuple[Phase, ...]:
         """All nonempty feasible phases in ascending mask order.
@@ -274,6 +290,27 @@ def is_feasible_phase(phase: Phase, conflicts: ConflictMatrix) -> bool:
             return False
         m &= m - 1
     return True
+
+
+def _greedy_clique_cover(neighbors: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Disjoint cliques of two or more paths, greedy by degree (see clique_cover)."""
+    # path order: most conflicts first, then lowest index
+    order = sorted(range(len(neighbors)), key=lambda i: (-neighbors[i].bit_count(), i))
+    free = (1 << len(neighbors)) - 1
+    cliques = []
+    for seed in order:
+        common = neighbors[seed] & free
+        if not free >> seed & 1 or not common:
+            continue
+        members = [seed]
+        while common:
+            pick = next(i for i in order if common >> i & 1)
+            members.append(pick)
+            common &= neighbors[pick]
+        for i in members:
+            free &= ~(1 << i)
+        cliques.append(tuple(sorted(members)))
+    return tuple(cliques)
 
 
 def _independent_sets(neighbors: tuple[int, ...]) -> list[int]:

@@ -307,6 +307,37 @@ def test_property_maximal_phases_are_maximal(cm):
     assert [p.mask for p in phases] == expected
 
 
+def test_clique_cover_of_the_default_junction():
+    # greedy by degree: path 1 (4 conflicts, lowest index) seeds the first
+    # clique; the four left turns conflict with nothing and stay out
+    cm = IntersectionSpec.standard(4).conflicts
+    assert cm.clique_cover() == ((1, 4, 8), (2, 5, 10), (7, 11))
+    assert cm.clique_cover() is cm.clique_cover()
+
+
+def test_conflict_free_matrix_has_no_cliques():
+    assert ConflictMatrix(np.zeros((5, 5), dtype=bool)).clique_cover() == ()
+
+
+@given(conflict_matrix_strategy(max_paths=10))
+@settings(max_examples=100)
+def test_property_clique_cover_is_disjoint_cliques(cm):
+    seen = set()
+    for clique in cm.clique_cover():
+        assert len(clique) >= 2
+        assert list(clique) == sorted(clique)
+        assert all(cm.conflicts(i, j) for i, j in combinations(clique, 2))
+        assert seen.isdisjoint(clique)
+        seen.update(clique)
+    # greedy leaves no conflicting pair both uncovered
+    rest = [i for i in range(cm.paths) if i not in seen]
+    assert not any(cm.conflicts(i, j) for i, j in combinations(rest, 2))
+    # a feasible phase opens at most one path of each clique
+    for phase in cm.feasible_phases():
+        for clique in cm.clique_cover():
+            assert sum(phase.is_open(i) for i in clique) <= 1
+
+
 @pytest.mark.parametrize("arms", [3, 4, 5, 6])
 def test_maximal_phases_match_subset_filter_on_standard_junctions(arms):
     for side in DrivingSide:

@@ -19,6 +19,7 @@ from greenlight import (
     candidate_phases,
     enumerate_feasible_phases,
     exhaustive_oracle,
+    load_instance,
     lower_bound,
     optimize_schedule,
     rollout_cost,
@@ -29,7 +30,7 @@ from greenlight import (
 from greenlight.cli import main as cli_main
 from greenlight.errors import InvalidSpecError, OracleTooLargeError, TooManyPhasesError
 import greenlight.solver as solver
-from greenlight.solver import _bits, _set_bits, _tables
+from greenlight.solver import _bits, _clique_terms, _set_bits, _tables
 
 
 def snapshot_with(spec, path_queues, tick=0):
@@ -278,17 +279,26 @@ def random_instance(rng):
     return spec, s, prev, cfg
 
 
+def assert_search_equals_oracle(sol, orc, horizon):
+    """Same schedule and cost, and no more nodes than the oracle at any depth."""
+    assert sol.schedule == orc.schedule
+    assert sol.cost == orc.cost
+    assert len(sol.nodes_by_depth) == len(orc.nodes_by_depth) == horizon
+    assert sum(sol.nodes_by_depth) == sol.nodes_explored
+    assert sum(orc.nodes_by_depth) == orc.nodes_explored
+    assert all(a <= b for a, b in zip(sol.nodes_by_depth, orc.nodes_by_depth))
+
+
 def test_search_matches_oracle_on_random_instances():
     # paired runs: equal cost, identical schedule under the shared
-    # tie-break, and pruning never visits more nodes than enumeration
+    # tie-break, and pruning never visits more nodes than enumeration,
+    # at any depth
     rng = np.random.default_rng(20260816)
     for _ in range(60):
         spec, s, prev, cfg = random_instance(rng)
         sol = optimize_schedule(spec, s, prev, cfg)
         orc = exhaustive_oracle(spec, s, prev, cfg)
-        assert sol.cost == orc.cost
-        assert sol.schedule == orc.schedule
-        assert sol.nodes_explored <= orc.nodes_explored
+        assert_search_equals_oracle(sol, orc, cfg.horizon)
         replay, _ = rollout_cost(spec, s, sol.schedule, prev, cfg.dynamics)
         assert replay == sol.cost
 
@@ -330,9 +340,7 @@ def test_search_matches_oracle_with_guard_at_default_timing(horizon):
         assert max(q[0].wait for q in s.queues if q) >= cfg.wmax
         sol = optimize_schedule(spec, s, prev, cfg)
         orc = exhaustive_oracle(spec, s, prev, cfg)
-        assert sol.schedule == orc.schedule
-        assert sol.cost == orc.cost
-        assert sol.nodes_explored <= orc.nodes_explored
+        assert_search_equals_oracle(sol, orc, horizon)
 
 
 def test_search_beats_a_strictly_suboptimal_greedy_dive():
@@ -433,6 +441,128 @@ def test_search_bound_is_admissible_and_above_lower_bound():
             _, after = rollout_cost(spec, s, (first,), prev, dyn)
             best = exhaustive_oracle(spec, after, first, free).cost
             assert lower_bound(after, rest * dyn.phase_ticks) <= bound <= best
+
+
+def last_block_inputs():
+    """Random instances and guard-active states, each with its first phases.
+
+    Small junctions try every feasible phase first; the default junction
+    tries the all-feasible candidates its guard leaves.
+    """
+    rng = np.random.default_rng(4747)
+    out = []
+    for _ in range(40):
+        spec, s, prev, cfg = random_instance(rng)
+        out.append((spec, s, prev, cfg, spec.conflicts.feasible_phases()))
+    for _ in range(15):
+        spec = random_junction(rng, int(rng.integers(3, 7)), int(rng.integers(2, 5)))
+        s, prev, cfg = guard_active_instance(rng, spec, 2)
+        out.append((spec, s, prev, cfg, spec.conflicts.feasible_phases()))
+    spec = IntersectionSpec.standard(max_queue_len=4)
+    for _ in range(2):
+        s, prev, cfg = guard_active_instance(rng, spec, 2)
+        wide = SolverConfig(horizon=2, maximal_only=False, dynamics=cfg.dynamics)
+        out.append((spec, s, prev, cfg, candidate_phases(spec, s, prev, wide)))
+    return out
+
+
+def test_clique_bound_lies_between_path_bound_and_best_continuation():
+    # one block left after the first, as at depth k - 2 of the search. The
+    # per-path bound prices the last block as if every path opened; the
+    # clique bound opens at most one path per clique. Both are read from
+    # the tables as the search reads them, and checked against last-block
+    # costs from rollout_cost, which shares no code with the tables, and
+    # against the exact best continuation. First phases range over
+    # all-feasible candidate lists
+    checked = 0
+    for spec, s, prev, cfg, firsts in last_block_inputs():
+        dyn = cfg.dynamics
+        paths = spec.num_paths
+        cliques = spec.conflicts.clique_cover()
+        singles = [i for i in range(paths) if not any(i in c for c in cliques)]
+        tables = [
+            _tables(tuple(v.priority for v in q), dyn.phase_ticks, dyn.slow_start, 2)
+            for q in s.queues
+        ]
+        live = sum(1 << i for i, q in enumerate(s.queues) if q)
+        opening = [(warm if prev.is_open(i) else cold)[0][0] for i, (_, _, cold, warm) in enumerate(tables)]
+        extra, delta = _clique_terms(
+            cliques, live, [0] * paths, opening, [t[2][1] for t in tables], [t[3][1] for t in tables]
+        )
+        free = SolverConfig(horizon=1, wmax=None, dynamics=dyn)
+        guarded = SolverConfig(horizon=1, maximal_only=cfg.maximal_only, wmax=cfg.wmax, dynamics=dyn)
+        for first in firsts:
+            opened = [i for i in first.open_paths() if live >> i & 1]
+            path_bound = sum(cold_bound[0][0] for _, cold_bound, _, _ in tables)
+            path_bound += sum(opening[i][0] - opening[i][1] for i in opened)
+            clique_bound = path_bound + extra + sum(delta[i] for i in opened)
+            _, after = rollout_cost(spec, s, (first,), prev, dyn)
+            # the last block with every path closed, and each path's change
+            # when it alone opens
+            shut = rollout_cost(spec, after, (spec.all_closed(),), first, dyn)[0]
+            gain = [
+                rollout_cost(spec, after, (Phase(1 << i, paths),), first, dyn)[0] - shut
+                for i in range(paths)
+            ]
+            assert path_bound == shut + sum(gain)
+            assert clique_bound == (
+                shut + sum(min(gain[i] for i in c) for c in cliques) + sum(gain[i] for i in singles)
+            )
+            # maximal continuations reach the unrestricted optimum, and the
+            # guard only removes candidates
+            best = exhaustive_oracle(spec, after, first, free).cost
+            assert path_bound <= clique_bound <= best
+            assert best <= exhaustive_oracle(spec, after, first, guarded).cost
+            checked += clique_bound > path_bound
+    assert checked > 50
+
+
+def test_search_matches_oracle_on_a_loaded_explicit_matrix(tmp_path):
+    # a conflict matrix that no geometry derives, written to an instance
+    # file and read back, so the search runs on the loaded matrix's cover
+    rng = np.random.default_rng(6061)
+    data = np.zeros((8, 8), dtype=bool)
+    for i in range(8):
+        for j in range(i + 1, 8):
+            data[i, j] = data[j, i] = rng.random() < 0.5
+    path = tmp_path / "explicit.json"
+    save_instance(
+        IntersectionSpec(
+            arms=4,
+            paths=standard_movements(4)[:8],
+            max_queue_len=3,
+            conflicts=ConflictMatrix(data),
+        ),
+        str(path),
+    )
+    spec = load_instance(str(path))
+    assert np.array_equal(spec.conflicts.as_array(), data)
+    assert max(len(c) for c in spec.conflicts.clique_cover()) >= 3
+    feasible = spec.conflicts.feasible_phases()
+    checked = 0
+    for horizon in (2, 3):
+        for maximal_only in (True, False):
+            width = len(spec.conflicts.maximal_phases() if maximal_only else feasible)
+            if width**horizon > 1500:
+                continue
+            for snapshot in range(6):
+                if snapshot % 2:
+                    s, prev, _ = guard_active_instance(rng, spec, horizon)
+                else:
+                    s = TrafficSnapshot(0, tuple(
+                        tuple(
+                            VehicleRecord(int(rng.integers(1, 6)), int(rng.integers(0, 20)))
+                            for _ in range(int(rng.integers(0, 4)))
+                        )
+                        for _ in range(8)
+                    ))
+                    prev = feasible[int(rng.integers(0, len(feasible)))]
+                cfg = SolverConfig(horizon=horizon, maximal_only=maximal_only)
+                sol = optimize_schedule(spec, s, prev, cfg)
+                orc = exhaustive_oracle(spec, s, prev, cfg)
+                assert_search_equals_oracle(sol, orc, horizon)
+                checked += 1
+    assert checked >= 12
 
 
 def test_maximal_restriction_preserves_optimal_cost():
