@@ -485,12 +485,14 @@ def test_clique_bound_lies_between_path_bound_and_best_continuation():
             for q in s.queues
         ]
         live = sum(1 << i for i, q in enumerate(s.queues) if q)
-        opening = [(warm if prev.is_open(i) else cold)[0][0] for i, (_, _, cold, warm) in enumerate(tables)]
-        extra, delta = _clique_terms(
-            cliques, live, [0] * paths, opening, [t[2][1] for t in tables], [t[3][1] for t in tables]
-        )
+        opening = [(t[3] if prev.is_open(i) else t[2])[0][0] for i, t in enumerate(tables)]
+        last_cold = [t[2][1] for t in tables]
+        last_warm = [t[3][1] for t in tables]
+        extra, delta = _clique_terms(cliques, live, [0] * paths, opening, last_cold, last_warm)
         free = SolverConfig(horizon=1, wmax=None, dynamics=dyn)
-        guarded = SolverConfig(horizon=1, maximal_only=cfg.maximal_only, wmax=cfg.wmax, dynamics=dyn)
+        guarded = SolverConfig(
+            horizon=1, maximal_only=cfg.maximal_only, wmax=cfg.wmax, dynamics=dyn
+        )
         for first in firsts:
             opened = [i for i in first.open_paths() if live >> i & 1]
             path_bound = sum(cold_bound[0][0] for _, cold_bound, _, _ in tables)
