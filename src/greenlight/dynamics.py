@@ -105,10 +105,12 @@ def step(
     departed = []
     next_queues = []
     for i, q in enumerate(s.queues):
-        if q and mask >> i & 1 and green_age[i] >= slow_start:
-            departed.append((i, q[0]))
-            q = q[1:]
-        next_queues.append(tuple([_record(v.priority, v.wait + 1) for v in q]))
+        if q:
+            if mask >> i & 1 and green_age[i] >= slow_start:
+                departed.append((i, q[0]))
+                q = q[1:]
+            q = tuple([_record(v.priority, v.wait + 1) for v in q])
+        next_queues.append(q)
     return StepOutcome(
         next=TrafficSnapshot(tick=s.tick + 1, queues=tuple(next_queues)),
         departed=tuple(departed),

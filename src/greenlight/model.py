@@ -131,7 +131,7 @@ class ConflictMatrix:
     Instances are immutable values; derived structures (per-path conflict
     bit masks, the maximal-phase list and its open paths, the all-feasible
     list, the clique cover) are computed lazily, at most once per matrix,
-    and cached.
+    and cached, as are the masks `is_feasible_phase` has accepted.
     """
 
     def __init__(self, data: np.ndarray):
@@ -151,6 +151,7 @@ class ConflictMatrix:
         self._maximal_paths: tuple[tuple[int, ...], ...] | None = None
         self._feasible: tuple[Phase, ...] | None = None
         self._cliques: tuple[tuple[int, ...], ...] | None = None
+        self._proven_feasible: set[int] = set()  # masks is_feasible_phase accepted
 
     @property
     def paths(self) -> int:
@@ -276,12 +277,14 @@ def build_conflict_matrix(
 
 
 def is_feasible_phase(phase: Phase, conflicts: ConflictMatrix) -> bool:
-    """True when no two open paths conflict (open set is independent)."""
+    """True when no two open paths conflict; accepted masks are remembered on the matrix."""
     if phase.width != conflicts.paths:
         raise DimensionError(
             f"phase width {phase.width} != matrix size {conflicts.paths}"
         )
     mask = phase.mask
+    if mask in conflicts._proven_feasible:
+        return True
     neighbors = conflicts.neighbor_masks()
     m = mask
     while m:
@@ -289,6 +292,7 @@ def is_feasible_phase(phase: Phase, conflicts: ConflictMatrix) -> bool:
         if neighbors[i] & mask:
             return False
         m &= m - 1
+    conflicts._proven_feasible.add(mask)
     return True
 
 
@@ -499,11 +503,11 @@ class IntersectionSpec:
             raise DimensionError(
                 f"snapshot has {s.paths} queues, instance has {self.num_paths}"
             )
-        for i, q in enumerate(s.queues):
-            if len(q) > self.max_queue_len:
-                raise DimensionError(
-                    f"queue {i} holds {len(q)} vehicles, limit {self.max_queue_len}"
-                )
+        if max(map(len, s.queues)) > self.max_queue_len:
+            i, q = next((i, q) for i, q in enumerate(s.queues) if len(q) > self.max_queue_len)
+            raise DimensionError(
+                f"queue {i} holds {len(q)} vehicles, limit {self.max_queue_len}"
+            )
 
     def fill_count(self, intensity: float) -> int:
         """Seeded vehicles per path for a load level in [0, 1]."""

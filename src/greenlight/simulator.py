@@ -4,7 +4,9 @@ All randomness in an episode flows from one seeded PCG64 generator in a
 documented draw order: initial queues first (paths ascending, vehicles
 front to back), then per tick one Bernoulli draw per path ascending plus
 one priority draw per realized arrival. Identical configs therefore give
-bit-identical episodes on any platform.
+bit-identical episodes on any platform. `run_episode` reads its arrival
+draws from blocks of one vector draw each; numpy yields the same doubles
+in the same order as scalar draws, so the stream is unchanged.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .solver import SolverConfig
 PRIORITY_CLASSES: tuple[tuple[int, float], ...] = ((10, 0.02), (3, 0.08), (1, 0.90))
 ARRIVAL_RATE_SCALE = 0.3
 TICK_CAP = 100_000
+_DRAW_BLOCK = 4096
 
 
 class SimMode(str, Enum):
@@ -113,6 +116,23 @@ def draw_priority(rng: np.random.Generator, classes: tuple[tuple[int, float], ..
     return _priority_of(rng.random(), classes)
 
 
+class _BufferedUniforms:
+    """`rng.random()` served from `rng.random(_DRAW_BLOCK)` blocks, each drawn when needed."""
+
+    __slots__ = ("_rng", "_it")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._it = iter(())
+
+    def random(self) -> float:
+        try:
+            return next(self._it)
+        except StopIteration:
+            self._it = iter(self._rng.random(_DRAW_BLOCK).tolist())
+            return next(self._it)
+
+
 def seed_initial_queues(cfg: SimConfig, rng: np.random.Generator | None = None) -> TrafficSnapshot:
     """Fill every path with ceil(intensity * capacity) fresh vehicles.
 
@@ -139,13 +159,16 @@ def generate_arrivals(
 
     Each path ascending consumes one uniform draw for its Bernoulli
     trial (probability intensity * ARRIVAL_RATE_SCALE) and, on arrival,
-    one more for the priority, keeping the stream layout fixed.
+    one more for the priority, keeping the stream layout fixed. `rng`
+    may be a plain Generator or `run_episode`'s buffered reader of the
+    same stream; both give the same arrivals.
     """
     p = cfg.intensity * ARRIVAL_RATE_SCALE
+    u = rng.random
     out = []
     for _ in range(cfg.spec.num_paths):
-        if rng.random() < p:
-            out.append((VehicleRecord(draw_priority(rng, PRIORITY_CLASSES), 0),))
+        if u() < p:
+            out.append((_record(_priority_of(u(), PRIORITY_CLASSES), 0),))
         else:
             out.append(())
     return tuple(out)
@@ -192,7 +215,10 @@ def run_episode(
     enter tick is the departure tick minus its wait.
 
     Every policy runs under solver_cfg's dynamics (default SolverConfig()),
-    and starvation events count waits above its wmax.
+    and starvation events count waits above its wmax. Arrival draws are
+    read from block vector draws of the episode's generator, one double
+    at a time in stream order: the uniforms scalar draws would give, and
+    none at all in a drain episode.
     """
     spec = cfg.spec
     if solver_cfg is None:
@@ -201,6 +227,7 @@ def run_episode(
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     state = seed_initial_queues(cfg, rng)
+    draws = _BufferedUniforms(rng)
     st: ControllerState = make_controller_state(spec, policy)
     ages = initial_green_ages(spec, st.prev_phase, dyn)
     log: list[WaitLogEntry] = []
@@ -245,7 +272,7 @@ def run_episode(
         st.prev_phase = phase
 
         if cfg.mode is SimMode.STEADY:
-            arrivals = generate_arrivals(cfg, state.tick, rng)
+            arrivals = generate_arrivals(cfg, state.tick, draws)
             state, rej = append_arrivals(spec, state, arrivals)
             rejected += rej
 
