@@ -120,6 +120,24 @@ def test_step_rejects_infeasible_phase():
         )
 
 
+def test_feasible_phase_stepped_first_does_not_admit_an_infeasible_one():
+    # paths 1 and 4 each pass alone and are remembered; their union
+    # conflicts and must still be refused on the same matrix
+    spec = spec12()
+    for mask in (1 << 1, 1 << 4):
+        for _ in range(3):
+            step(spec, spec.empty_snapshot(), Phase(mask, 12), [0] * 12, DynamicsConfig())
+    with pytest.raises(ConstraintViolationError):
+        step(spec, spec.empty_snapshot(), Phase((1 << 1) | (1 << 4), 12), [0] * 12, DynamicsConfig())
+
+
+def test_step_rejects_an_oversize_queue_by_index():
+    spec = spec12()
+    s = snapshot_with(spec, {7: [(1, 0)] * 7})
+    with pytest.raises(DimensionError, match=r"queue 7 holds 7 vehicles, limit 6"):
+        step(spec, s, spec.all_closed(), [0] * 12, DynamicsConfig())
+
+
 def test_step_rejects_wrong_age_vector_length():
     spec = spec12()
     with pytest.raises(DimensionError):

@@ -166,8 +166,21 @@ def test_crossing_straights_make_infeasible_phase():
 
 def test_is_feasible_phase_width_mismatch():
     spec = IntersectionSpec.standard()
+    # mask 1 is remembered as feasible at width 12; width 3 is still refused
+    assert is_feasible_phase(Phase(1, 12), spec.conflicts)
     with pytest.raises(DimensionError):
         is_feasible_phase(Phase(1, 3), spec.conflicts)
+
+
+def test_feasibility_memo_belongs_to_its_matrix():
+    free = ConflictMatrix(np.zeros((3, 3), dtype=bool))
+    clash = np.zeros((3, 3), dtype=bool)
+    clash[0, 1] = clash[1, 0] = True
+    both = Phase(0b011, 3)
+    assert is_feasible_phase(both, free)
+    assert is_feasible_phase(both, free)
+    assert not is_feasible_phase(both, ConflictMatrix(clash))
+    assert is_feasible_phase(Phase(0b101, 3), ConflictMatrix(clash))
 
 
 def test_zero_matrix_yields_all_nonempty_subsets():
@@ -466,7 +479,8 @@ def test_spec_rejects_overlong_queue():
     spec = small_spec()
     queues = [()] * 12
     queues[3] = tuple(VehicleRecord(1, 0) for _ in range(5))
-    with pytest.raises(DimensionError):
+    queues[9] = tuple(VehicleRecord(1, 0) for _ in range(6))
+    with pytest.raises(DimensionError, match=r"queue 3 holds 5 vehicles, limit 4"):
         spec.validate_snapshot(TrafficSnapshot(0, tuple(queues)))
 
 

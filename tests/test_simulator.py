@@ -18,11 +18,18 @@ from greenlight import (
     SolverConfig,
     Turn,
     VehicleRecord,
+    WaitLogEntry,
     append_arrivals,
+    decide_f1,
+    decide_f2,
+    decide_horizon_opt,
     draw_priority,
     generate_arrivals,
+    initial_green_ages,
+    make_controller_state,
     run_episode,
     seed_initial_queues,
+    step,
 )
 from greenlight.errors import InvalidSpecError
 
@@ -319,3 +326,129 @@ def test_steady_enter_ticks_replay_the_draw_order(policy):
             fifo[i].extend((tick, v.priority) for v in incoming)
     for e in log:
         assert (e.enter_tick, e.priority) == fifo[e.path].popleft()
+
+
+def test_buffered_uniforms_match_the_scalar_stream():
+    # past two block refills, the reader hands out the doubles that one
+    # scalar random() per draw gives from the same seed, in order
+    n = 2 * simulator._DRAW_BLOCK + 17
+    for seed in (0, 7):
+        reader = simulator._BufferedUniforms(np.random.Generator(np.random.PCG64(seed)))
+        scalar = np.random.Generator(np.random.PCG64(seed))
+        assert [reader.random() for _ in range(n)] == [scalar.random() for _ in range(n)]
+
+
+def test_arrivals_from_the_reader_equal_arrivals_from_a_generator():
+    cfg = SimConfig(spec=spec12(), intensity=1.0, seed=5, mode=SimMode.STEADY)
+    reader = simulator._BufferedUniforms(np.random.Generator(np.random.PCG64(cfg.seed)))
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    # about 12 * 1.3 draws a tick, so 700 ticks cross two refills
+    for tick in range(700):
+        assert generate_arrivals(cfg, tick, reader) == generate_arrivals(cfg, tick, rng)
+
+
+def episode_stream_use(monkeypatch, cfg):
+    """The episode generator's state right after seeding and at the end."""
+    seen = {}
+    seed_queues = simulator.seed_initial_queues
+
+    def spy(cfg, rng=None):
+        out = seed_queues(cfg, rng)
+        seen["rng"], seen["after_seeding"] = rng, rng.bit_generator.state
+        return out
+
+    monkeypatch.setattr(simulator, "seed_initial_queues", spy)
+    run_episode(cfg, PolicyKind.F1)
+    return seen["after_seeding"], seen["rng"].bit_generator.state
+
+
+def test_drain_episode_draws_no_uniforms_after_seeding(monkeypatch):
+    drain = SimConfig(spec=spec12(), intensity=0.5, seed=3)
+    seeded, final = episode_stream_use(monkeypatch, drain)
+    assert final == seeded
+    # the same spy sees a steady episode draw its arrivals
+    steady = SimConfig(spec=spec12(), intensity=0.5, seed=3, mode=SimMode.STEADY, episode_ticks=5)
+    seeded, final = episode_stream_use(monkeypatch, steady)
+    assert final != seeded
+
+
+def reference_episode(cfg, policy, solver_cfg=None):
+    """`run_episode` replayed through the public tick: `step` once per tick,
+    `generate_arrivals` on a raw Generator, then `append_arrivals`."""
+    spec = cfg.spec
+    solver_cfg = solver_cfg or SolverConfig()
+    dyn = solver_cfg.dynamics
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    state = seed_initial_queues(cfg, rng)
+    st = make_controller_state(spec, policy)
+    ages = initial_green_ages(spec, st.prev_phase, dyn)
+    phase = st.prev_phase
+    log, rejected, terminated = [], 0, True
+    while True:
+        t = state.tick
+        if cfg.mode is SimMode.DRAIN:
+            if state.is_empty():
+                break
+            if t >= simulator.TICK_CAP:
+                terminated = False
+                break
+        elif t >= cfg.episode_ticks:
+            break
+        if t % dyn.phase_ticks == 0:
+            if policy is PolicyKind.HORIZON:
+                phase = decide_horizon_opt(spec, state, st, solver_cfg)
+            elif policy is PolicyKind.F1:
+                phase = decide_f1(state, spec.conflicts)
+            else:
+                phase = decide_f2(t, st, dyn.phase_ticks)
+        out = step(spec, state, phase, ages, dyn)
+        log += [
+            WaitLogEntry(cfg.seed, policy.value, i, v.priority, t - v.wait, t, v.wait)
+            for i, v in out.departed
+        ]
+        state, ages, st.prev_phase = out.next, out.green_age, phase
+        if cfg.mode is SimMode.STEADY:
+            state, rej = append_arrivals(spec, state, generate_arrivals(cfg, state.tick, rng))
+            rejected += rej
+    waits = [e.wait_ticks for e in log]
+    mean = float(np.mean(waits)) if waits else 0.0
+    wmax = solver_cfg.wmax
+    starved = 0
+    if wmax is not None:
+        starved = sum(w > wmax for w in waits) + sum(
+            v.wait > wmax for q in state.queues for v in q
+        )
+    stats = EpisodeStats(
+        mean_wait=mean,
+        mean_wait_seconds=mean * dyn.tick_seconds,
+        std_wait=float(np.std(waits)) if waits else 0.0,
+        max_wait=max(waits, default=0),
+        throughput=len(log),
+        rejected_arrivals=rejected,
+        starvation_events=starved,
+        terminated=terminated,
+        ticks=state.tick,
+    )
+    return stats, tuple(log)
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.F1, PolicyKind.F2, PolicyKind.HORIZON])
+@pytest.mark.parametrize("mode", [SimMode.DRAIN, SimMode.STEADY])
+def test_run_episode_equals_the_step_reference_loop(policy, mode):
+    # short queues at full load make steady episodes reject arrivals and
+    # a tight wmax makes the guard and the starvation count take part
+    cases = [
+        (SimConfig(spec=spec12(), intensity=0.5, seed=s, mode=mode, episode_ticks=150), None)
+        for s in (0, 1, 2)
+    ]
+    full = SimConfig(
+        spec=spec12(max_queue_len=6), intensity=1.0, seed=3, mode=mode, episode_ticks=150
+    )
+    cases.append((full, SolverConfig(wmax=12)))
+    for cfg, solver_cfg in cases:
+        ours = run_episode(cfg, policy, solver_cfg)
+        assert ours == reference_episode(cfg, policy, solver_cfg)
+        assert ours[0].throughput > 0
+    # `full` ran last
+    assert ours[0].starvation_events > 0
+    assert (ours[0].rejected_arrivals > 0) == (mode is SimMode.STEADY)
