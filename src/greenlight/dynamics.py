@@ -8,6 +8,7 @@ therefore accumulate priority-weighted completed waiting ticks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,8 +44,8 @@ class DynamicsConfig:
         # least one vehicle, which drain liveness depends on.
         if self.slow_start >= self.phase_ticks:
             raise InvalidSpecError("slow_start must be smaller than phase_ticks")
-        if self.tick_seconds <= 0:
-            raise InvalidSpecError("tick_seconds must be positive")
+        if not (math.isfinite(self.tick_seconds) and self.tick_seconds > 0):
+            raise InvalidSpecError("tick_seconds must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,5 @@ class TooManyPhasesError(GreenlightError):
     """The junction has more feasible phases than enumeration allows."""
 
 
-class InvalidCycleError(GreenlightError):
-    """A fixed cycle fails to cover every path."""
-
-
 class FileFormatError(GreenlightError):
     """A file could not be read, parsed, validated or written."""

@@ -3,9 +3,9 @@
 All three emit one feasible phase per decision point and are compared
 like-for-like: a decision is taken every `phase_ticks` ticks from a
 fresh snapshot. F1 greedily opens the compatible phase covering the
-most queued vehicles; F2 rotates through a fixed cycle blind to queue
-contents; the horizon controller plans k phases ahead and applies only
-the first.
+most queued vehicles; F2 rotates through the junction's maximal phases
+blind to queue contents; the horizon controller plans k phases ahead
+and applies only the first.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidCycleError
 from .model import ConflictMatrix, IntersectionSpec, Phase, TrafficSnapshot
 from .solver import SolverConfig, optimize_schedule
 
@@ -28,37 +27,10 @@ class PolicyKind(str, Enum):
 
 @dataclass
 class ControllerState:
-    """Mutable per-episode controller context.
-
-    prev_phase is the phase applied in the last block (all red before the
-    first). f2_cycle is used by F2 only; a nonempty cycle must open every
-    path at least once, checked once here rather than on every decision.
-    """
+    """The horizon controller's context: the phase applied in the last
+    block, all red before the first."""
 
     prev_phase: Phase
-    f2_cycle: tuple[Phase, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.f2_cycle:
-            return
-        width = self.f2_cycle[0].width
-        covered = 0
-        for ph in self.f2_cycle:
-            covered |= ph.mask
-        if covered != (1 << width) - 1:
-            missing = [i for i in range(width) if not covered >> i & 1]
-            raise InvalidCycleError(f"f2 cycle never opens paths {missing}")
-
-
-def default_f2_cycle(spec: IntersectionSpec) -> tuple[Phase, ...]:
-    """Fixed-time cycle: every maximal phase in ascending bit-vector order."""
-    return spec.conflicts.maximal_phases()
-
-
-def make_controller_state(spec: IntersectionSpec, policy: PolicyKind) -> ControllerState:
-    """Fresh controller context: everything red."""
-    cycle = default_f2_cycle(spec) if policy is PolicyKind.F2 else ()
-    return ControllerState(prev_phase=spec.all_closed(), f2_cycle=cycle)
 
 
 def decide_horizon_opt(
@@ -80,7 +52,7 @@ def decide_f1(s: TrafficSnapshot, conflicts: ConflictMatrix) -> Phase:
     paths of each maximal phase come from the matrix's cache.
     """
     counts = [len(q) for q in s.queues]
-    best: Phase | None = None
+    # a matrix has a path, hence a maximal phase, whose cover >= 0 sets best
     best_cover = -1
     for ph, open_paths in zip(conflicts.maximal_phases(), conflicts.maximal_open_paths()):
         cover = 0
@@ -89,17 +61,14 @@ def decide_f1(s: TrafficSnapshot, conflicts: ConflictMatrix) -> Phase:
         if cover > best_cover:
             best_cover = cover
             best = ph
-    if best is None:
-        raise InvalidCycleError("no maximal phases available")
     return best
 
 
-def decide_f2(tick: int, st: ControllerState, phase_ticks: int) -> Phase:
-    """Fixed-time baseline: rotate the cycle, one phase per block.
+def decide_f2(tick: int, conflicts: ConflictMatrix, phase_ticks: int) -> Phase:
+    """Fixed-time baseline: rotate the maximal phases, one per block.
 
-    The cycle's path coverage was checked when the state was built.
+    One revolution opens every path: a single path is a feasible phase,
+    and every feasible phase lies inside some maximal one.
     """
-    cycle = st.f2_cycle
-    if not cycle:
-        raise InvalidCycleError("f2 cycle is empty")
+    cycle = conflicts.maximal_phases()
     return cycle[(tick // phase_ticks) % len(cycle)]

@@ -25,7 +25,6 @@ from .policies import (
     decide_f1,
     decide_f2,
     decide_horizon_opt,
-    make_controller_state,
 )
 from .solver import SolverConfig
 
@@ -228,11 +227,11 @@ def run_episode(
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     state = seed_initial_queues(cfg, rng)
     draws = _BufferedUniforms(rng)
-    st: ControllerState = make_controller_state(spec, policy)
-    ages = initial_green_ages(spec, st.prev_phase, dyn)
+    phase = spec.all_closed()
+    st = ControllerState(phase)
+    ages = initial_green_ages(spec, phase, dyn)
     log: list[WaitLogEntry] = []
     rejected = 0
-    phase = st.prev_phase
     terminated = True
 
     while True:
@@ -248,11 +247,12 @@ def run_episode(
 
         if t % dyn.phase_ticks == 0:
             if policy is PolicyKind.HORIZON:
+                st.prev_phase = phase
                 phase = decide_horizon_opt(spec, state, st, solver_cfg)
             elif policy is PolicyKind.F1:
                 phase = decide_f1(state, spec.conflicts)
             else:
-                phase = decide_f2(t, st, dyn.phase_ticks)
+                phase = decide_f2(t, spec.conflicts, dyn.phase_ticks)
 
         out = step(spec, state, phase, ages, dyn)
         for i, rec in out.departed:
@@ -269,7 +269,6 @@ def run_episode(
             )
         ages = out.green_age
         state = out.next
-        st.prev_phase = phase
 
         if cfg.mode is SimMode.STEADY:
             arrivals = generate_arrivals(cfg, state.tick, draws)

@@ -441,6 +441,25 @@ def test_simulate_unwritable_out_exits_2(capsys, tmp_path):
     assert_unwritable_out(code, err, out_path)
 
 
+def test_non_finite_tick_seconds_exits_2_before_any_episode(capsys, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "run_episode", lambda *a, **k: calls.append(a))
+    for seconds in ("nan", "inf"):
+        sweep_out = tmp_path / f"sweep-{seconds}.csv"
+        code, out, err = run_cli(capsys, *sweep_args(sweep_out), "--tick-seconds", seconds)
+        assert (code, out) == (2, "")
+        assert "tick_seconds" in err
+        waits_out = tmp_path / f"waits-{seconds}.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--instance", INSTANCE, "--intensity", "0.3",
+            "--tick-seconds", seconds, "--out", str(waits_out),
+        )
+        assert (code, out) == (2, "")
+        assert "tick_seconds" in err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_out_fails_before_any_episode(capsys, monkeypatch, tmp_path):
     # a missing output directory is reported before any episode runs,
     # and a parent that is a file is refused the same way

@@ -60,6 +60,14 @@ def test_config_rejects_nonpositive_phase_ticks():
         DynamicsConfig(phase_ticks=0, slow_start=0)
 
 
+@pytest.mark.parametrize("seconds", [0.0, -5.0, float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_tick_seconds_not_finite_and_positive(seconds):
+    # nan compares false with 0 and inf is positive: neither may reach
+    # mean_wait_seconds
+    with pytest.raises(InvalidSpecError, match="tick_seconds"):
+        DynamicsConfig(tick_seconds=seconds)
+
+
 def test_step_closed_path_only_ages():
     # two priority-1 vehicles with waits (0,0) on a closed path: nobody
     # leaves, waits become (1,1), both still pay, tick_cost = 1 + 1 = 2

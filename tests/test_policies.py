@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from greenlight import (
     ConflictMatrix,
     ControllerState,
+    DrivingSide,
     DynamicsConfig,
     IntersectionSpec,
-    Phase,
     PolicyKind,
     SolverConfig,
     TrafficSnapshot,
@@ -18,14 +18,11 @@ from greenlight import (
     decide_f1,
     decide_f2,
     decide_horizon_opt,
-    default_f2_cycle,
     exhaustive_oracle,
     is_feasible_phase,
-    make_controller_state,
     rollout_cost,
     standard_movements,
 )
-from greenlight.errors import InvalidCycleError
 
 
 def spec12():
@@ -45,24 +42,9 @@ def test_policy_tokens():
     assert PolicyKind.F2.value == "f2"
 
 
-def test_make_controller_state_starts_red():
-    spec = spec12()
-    st_ = make_controller_state(spec, PolicyKind.HORIZON)
-    assert st_.prev_phase == spec.all_closed()
-    assert st_.f2_cycle == ()
-    assert make_controller_state(spec, PolicyKind.F2).f2_cycle == default_f2_cycle(spec)
-
-
-def test_default_f2_cycle_is_maximal_phases():
-    spec = spec12()
-    cycle = default_f2_cycle(spec)
-    assert cycle == spec.conflicts.maximal_phases()
-    assert len(cycle) == 12
-
-
 def test_horizon_empty_snapshot_takes_lex_smallest_maximal():
     spec = spec12()
-    st_ = make_controller_state(spec, PolicyKind.HORIZON)
+    st_ = ControllerState(spec.all_closed())
     phase = decide_horizon_opt(spec, spec.empty_snapshot(), st_, SolverConfig(horizon=2))
     assert phase == spec.conflicts.maximal_phases()[0]
 
@@ -71,7 +53,7 @@ def test_horizon_first_phase_matches_oracle():
     spec = spec12()
     s = snapshot_with(spec, {1: [(1, 0), (1, 0)], 4: [(5, 2)], 10: [(3, 0)]})
     cfg = SolverConfig(horizon=2)
-    st_ = make_controller_state(spec, PolicyKind.HORIZON)
+    st_ = ControllerState(spec.all_closed())
     chosen = decide_horizon_opt(spec, s, st_, cfg)
     oracle = exhaustive_oracle(spec, s, st_.prev_phase, cfg)
     assert chosen == oracle.schedule[0]
@@ -111,70 +93,73 @@ def test_f1_prefers_combined_coverage():
 
 def test_f2_tick_zero_takes_first_phase():
     spec = spec12()
-    st_ = make_controller_state(spec, PolicyKind.F2)
-    assert decide_f2(0, st_, 4) == st_.f2_cycle[0]
+    assert decide_f2(0, spec.conflicts, 4) == spec.conflicts.maximal_phases()[0]
 
 
 def test_f2_index_arithmetic():
-    # four-phase cycle, D=4: tick 9 sits in block 9 // 4 = 2, index 2
-    spec = spec12()
-    maximal = spec.conflicts.maximal_phases()
-    by_mask = {p.mask: p for p in maximal}
-    lefts = (1 << 0) | (1 << 3) | (1 << 6) | (1 << 9)
-    cycle = tuple(
-        by_mask[lefts | extra]
-        for extra in ((1 << 1) | (1 << 2), (1 << 4) | (1 << 5),
-                      (1 << 7) | (1 << 8), (1 << 10) | (1 << 11))
-    )
-    st_ = ControllerState(prev_phase=spec.all_closed(), f2_cycle=cycle)
-    assert decide_f2(9, st_, 4) == cycle[2]
-    # wraps around after one full cycle
-    assert decide_f2(16, st_, 4) == cycle[0]
-
-
-def test_f2_singleton_cycle_gives_equal_green_time():
-    # a cycle of one singleton phase per path opens every path for
-    # exactly D ticks per revolution
-    spec = spec12()
-    cycle = tuple(Phase(1 << i, 12) for i in range(12))
-    st_ = ControllerState(prev_phase=spec.all_closed(), f2_cycle=cycle)
-    d = 4
-    green = [0] * 12
-    for tick in range(12 * d):
-        phase = decide_f2(tick, st_, d)
-        for i in phase.open_paths():
-            green[i] += 1
-    assert green == [d] * 12
+    # twelve maximal phases, D=4: tick 9 sits in block 9 // 4 = 2, index 2
+    cm = spec12().conflicts
+    maximal = cm.maximal_phases()
+    assert len(maximal) == 12
+    assert decide_f2(9, cm, 4) == maximal[2]
+    # wraps around after one full revolution of 12 * 4 ticks
+    assert decide_f2(48, cm, 4) == maximal[0]
+    assert decide_f2(55, cm, 4) == maximal[1]
+    # the block length is the decision period, not a constant
+    assert decide_f2(9, cm, 2) == maximal[4]
 
 
 def test_f2_is_blind_to_queues():
-    spec = spec12()
-    st_ = make_controller_state(spec, PolicyKind.F2)
+    # the signature admits no snapshot and no controller state: the phase
+    # follows from the tick and the junction alone, so a junction with
+    # other queue limits gets the same rotation
+    cm = spec12().conflicts
+    other = IntersectionSpec.standard(max_queue_len=10).conflicts
+    assert other is not cm
     for tick in (0, 3, 17, 120):
-        assert decide_f2(tick, st_, 4) == decide_f2(tick, st_, 4)
-    # the signature admits no snapshot at all; two states with the same
-    # cycle agree regardless of their history
-    other = ControllerState(
-        prev_phase=spec.conflicts.maximal_phases()[3],
-        f2_cycle=st_.f2_cycle,
-    )
-    assert decide_f2(17, st_, 4) == decide_f2(17, other, 4)
+        assert decide_f2(tick, cm, 4) == decide_f2(tick, other, 4)
 
 
-def test_f2_rejects_cycle_missing_paths():
-    spec = spec12()
-    with pytest.raises(InvalidCycleError):
-        ControllerState(
-            prev_phase=spec.all_closed(),
-            f2_cycle=(spec.conflicts.maximal_phases()[0],),
+def symmetric_matrix_strategy(max_paths=10):
+    """Random symmetric conflict matrices with a zero diagonal."""
+
+    def build(p, bits):
+        data = np.zeros((p, p), dtype=bool)
+        data[np.triu_indices(p, 1)] = bits
+        return ConflictMatrix(data | data.T)
+
+    return st.integers(min_value=1, max_value=max_paths).flatmap(
+        lambda p: st.builds(
+            build, st.just(p), st.lists(st.booleans(), min_size=p * (p - 1) // 2,
+                                        max_size=p * (p - 1) // 2)
         )
+    )
 
 
-def test_f2_rejects_empty_cycle():
-    spec = spec12()
-    st_ = make_controller_state(spec, PolicyKind.HORIZON)
-    with pytest.raises(InvalidCycleError):
-        decide_f2(0, st_, 4)
+def assert_f2_revolution_opens_every_path(cm, phase_ticks):
+    maximal = cm.maximal_phases()
+    covered = 0
+    for i, ph in enumerate(maximal):
+        covered |= ph.mask
+        # every tick of block i shows maximal phase i
+        for tick in range(i * phase_ticks, (i + 1) * phase_ticks):
+            assert decide_f2(tick, cm, phase_ticks) == ph
+    assert covered == (1 << cm.paths) - 1
+
+
+@given(symmetric_matrix_strategy(), st.integers(min_value=1, max_value=6))
+@settings(max_examples=100)
+def test_property_f2_revolution_opens_every_path(cm, phase_ticks):
+    # a single path is a feasible phase and extends to a maximal one, so
+    # the maximal phases cover every path and one revolution opens them
+    assert_f2_revolution_opens_every_path(cm, phase_ticks)
+
+
+@pytest.mark.parametrize("arms", [3, 4, 5, 6])
+@pytest.mark.parametrize("side", list(DrivingSide))
+def test_f2_revolution_opens_every_path_on_standard_junctions(arms, side):
+    cm = IntersectionSpec.standard(arms, driving_side=side).conflicts
+    assert_f2_revolution_opens_every_path(cm, 4)
 
 
 def queue_counts_strategy():
@@ -231,12 +216,11 @@ def test_property_all_policies_emit_feasible_phases(counts, tick):
         spec, {i: [(1, 0)] * n for i, n in enumerate(counts) if n}, tick=tick
     )
     cm = spec.conflicts
-    st_h = make_controller_state(spec, PolicyKind.HORIZON)
-    st_2 = make_controller_state(spec, PolicyKind.F2)
+    st_h = ControllerState(spec.all_closed())
     cfg = SolverConfig(horizon=1)
     assert is_feasible_phase(decide_horizon_opt(spec, s, st_h, cfg), cm)
     assert is_feasible_phase(decide_f1(s, cm), cm)
-    assert is_feasible_phase(decide_f2(tick, st_2, 4), cm)
+    assert is_feasible_phase(decide_f2(tick, cm, 4), cm)
 
 
 def test_horizon_one_step_never_loses_to_baselines():
@@ -252,10 +236,9 @@ def test_horizon_one_step_never_loses_to_baselines():
             for i in range(12)
         }
         s = snapshot_with(spec, {i: v for i, v in queues.items() if v})
-        st_h = make_controller_state(spec, PolicyKind.HORIZON)
-        st_2 = make_controller_state(spec, PolicyKind.F2)
+        st_h = ControllerState(spec.all_closed())
         prev = st_h.prev_phase
         chosen = decide_horizon_opt(spec, s, st_h, cfg)
         cost_of = lambda ph: rollout_cost(spec, s, (ph,), prev, dyn)[0]
         assert cost_of(chosen) <= cost_of(decide_f1(s, spec.conflicts))
-        assert cost_of(chosen) <= cost_of(decide_f2(s.tick, st_2, dyn.phase_ticks))
+        assert cost_of(chosen) <= cost_of(decide_f2(s.tick, spec.conflicts, dyn.phase_ticks))

@@ -8,6 +8,7 @@ import pytest
 
 import greenlight.simulator as simulator
 from greenlight import (
+    ControllerState,
     DynamicsConfig,
     EpisodeStats,
     IntersectionSpec,
@@ -26,7 +27,6 @@ from greenlight import (
     draw_priority,
     generate_arrivals,
     initial_green_ages,
-    make_controller_state,
     run_episode,
     seed_initial_queues,
     step,
@@ -380,9 +380,9 @@ def reference_episode(cfg, policy, solver_cfg=None):
     dyn = solver_cfg.dynamics
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     state = seed_initial_queues(cfg, rng)
-    st = make_controller_state(spec, policy)
-    ages = initial_green_ages(spec, st.prev_phase, dyn)
-    phase = st.prev_phase
+    phase = spec.all_closed()
+    st = ControllerState(phase)
+    ages = initial_green_ages(spec, phase, dyn)
     log, rejected, terminated = [], 0, True
     while True:
         t = state.tick
@@ -396,17 +396,18 @@ def reference_episode(cfg, policy, solver_cfg=None):
             break
         if t % dyn.phase_ticks == 0:
             if policy is PolicyKind.HORIZON:
+                st.prev_phase = phase
                 phase = decide_horizon_opt(spec, state, st, solver_cfg)
             elif policy is PolicyKind.F1:
                 phase = decide_f1(state, spec.conflicts)
             else:
-                phase = decide_f2(t, st, dyn.phase_ticks)
+                phase = decide_f2(t, spec.conflicts, dyn.phase_ticks)
         out = step(spec, state, phase, ages, dyn)
         log += [
             WaitLogEntry(cfg.seed, policy.value, i, v.priority, t - v.wait, t, v.wait)
             for i, v in out.departed
         ]
-        state, ages, st.prev_phase = out.next, out.green_age, phase
+        state, ages = out.next, out.green_age
         if cfg.mode is SimMode.STEADY:
             state, rej = append_arrivals(spec, state, generate_arrivals(cfg, state.tick, rng))
             rejected += rej
@@ -452,3 +453,31 @@ def test_run_episode_equals_the_step_reference_loop(policy, mode):
     # `full` ran last
     assert ours[0].starvation_events > 0
     assert (ours[0].rejected_arrivals > 0) == (mode is SimMode.STEADY)
+
+
+@pytest.mark.parametrize("mode", [SimMode.DRAIN, SimMode.STEADY])
+def test_horizon_decisions_see_the_phase_stepped_on_the_previous_tick(monkeypatch, mode):
+    # decide_horizon_opt reads st.prev_phase: all red at tick 0, then the
+    # phase `step` applied on the tick before the decision
+    spec = spec12()
+    stepped, seen = [], []
+    real_step, real_decide = simulator.step, simulator.decide_horizon_opt
+
+    def spy_step(spec, s, phase, *rest):
+        stepped.append((s.tick, phase))
+        return real_step(spec, s, phase, *rest)
+
+    def spy_decide(spec, s, st, cfg):
+        seen.append((s.tick, st.prev_phase))
+        return real_decide(spec, s, st, cfg)
+
+    monkeypatch.setattr(simulator, "step", spy_step)
+    monkeypatch.setattr(simulator, "decide_horizon_opt", spy_decide)
+    cfg = SimConfig(spec=spec, intensity=0.75, seed=4, mode=mode, episode_ticks=120)
+    run_episode(cfg, PolicyKind.HORIZON)
+    assert seen[0] == (0, spec.all_closed())
+    phase_at = dict(stepped)
+    assert len(seen) > 10
+    for tick, prev in seen[1:]:
+        assert prev == phase_at[tick - 1]
+        assert prev.mask
