@@ -17,7 +17,6 @@ from .errors import (
     InvalidGeometryError,
     InvalidSpecError,
     MalformedArrayError,
-    NoFeasibleScheduleError,
     OracleTooLargeError,
     TooManyPhasesError,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "MIN_ARMS",
     "MalformedArrayError",
     "Movement",
-    "NoFeasibleScheduleError",
     "OracleTooLargeError",
     "PRIORITY_CLASSES",
     "Phase",

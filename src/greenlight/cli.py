@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 2 for unparseable or invalid inputs (JSON
 errors are reported with line and column) and for an `--out` path that
-cannot be written, 3 when no feasible schedule exists for an
-optimization request.
+cannot be written. No valid instance lacks a schedule: a lone path is
+always a feasible phase, so the starvation guard always has a candidate.
 """
 
 from __future__ import annotations
@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamics import DynamicsConfig
-from .errors import (
-    ConstraintViolationError,
-    FileFormatError,
-    GreenlightError,
-    NoFeasibleScheduleError,
-)
+from .errors import FileFormatError, GreenlightError
 from .fileio import (
     _instance_problems,
     _load_json,
@@ -39,7 +34,6 @@ from .solver import SolverConfig, optimize_schedule
 
 EXIT_OK = 0
 EXIT_INVALID = 2
-EXIT_INFEASIBLE = 3
 
 SWEEP_HEADER = (
     "intensity,policy,seed,mean_wait_ticks,mean_wait_seconds,"
@@ -347,9 +341,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (NoFeasibleScheduleError, ConstraintViolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except GreenlightError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -25,10 +25,6 @@ class ConstraintViolationError(GreenlightError):
     """A phase opens two conflicting paths."""
 
 
-class NoFeasibleScheduleError(GreenlightError):
-    """The search found no candidate phase at some depth."""
-
-
 class OracleTooLargeError(GreenlightError):
     """Full enumeration would exceed the configured cap."""
 

@@ -88,7 +88,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .dynamics import DynamicsConfig, rollout_cost
-from .errors import InvalidSpecError, NoFeasibleScheduleError, OracleTooLargeError
+from .errors import InvalidSpecError, OracleTooLargeError
 from .model import (
     IntersectionSpec,
     Phase,
@@ -172,26 +172,29 @@ def _guard_target(front_waits: list[int | None], wmax: int | None) -> int | None
 
 
 def _phases_opening(base: tuple[Phase, ...], target: int) -> tuple[Phase, ...]:
-    guarded = tuple(ph for ph in base if ph.is_open(target))
-    if not guarded:
-        raise NoFeasibleScheduleError(f"no candidate phase opens starved path {target}")
-    return guarded
+    """The phases of `base` that open path `target`, in base's order.
+
+    Never empty when `base` is a matrix's maximal or all-feasible list:
+    no path of a valid `ConflictMatrix` conflicts with itself, so
+    {target} is a feasible phase, in the all-feasible list and inside
+    some maximal one.
+    """
+    return tuple(ph for ph in base if ph.is_open(target))
 
 
 def candidate_phases(
-    spec: IntersectionSpec,
-    s: TrafficSnapshot,
-    prev_phase: Phase,
-    cfg: SolverConfig,
+    spec: IntersectionSpec, s: TrafficSnapshot, cfg: SolverConfig
 ) -> tuple[Phase, ...]:
     """Phases eligible for the next decision, in ascending bit-vector order.
 
-    Membership depends on queue contents, not on `prev_phase` (any
-    feasible phase may follow any other; switching costs live in the
-    dynamics). When the starvation guard is enabled and some front
-    vehicle has waited wmax ticks or more, only phases opening the
-    longest-waiting such path are returned, ties going to the lowest
-    path index.
+    Membership depends on queue contents only: any feasible phase may
+    follow any other, and switching costs live in the dynamics. When the
+    starvation guard is enabled and some front vehicle has waited wmax
+    ticks or more, only phases opening the longest-waiting such path are
+    returned, ties going to the lowest path index. The list is never
+    empty for any valid `ConflictMatrix`: a lone path is a feasible
+    phase, so some maximal phase opens each path (see `_phases_opening`).
+    Only the all-feasible list can fail, with `TooManyPhasesError`.
     """
     spec.validate_snapshot(s)
     base = _base_phases(spec, cfg)
@@ -371,8 +374,6 @@ def optimize_schedule(
     paths = spec.num_paths
 
     base = _base_phases(spec, cfg)
-    if not base:
-        raise NoFeasibleScheduleError("no feasible candidate phase exists")
 
     lens = [len(q) for q in s.queues]
     waits = [[v.wait for v in q] for q in s.queues]
@@ -525,8 +526,7 @@ def exhaustive_oracle(
     projected from the unguarded candidate count, which bounds every depth.
     """
     t0 = time.perf_counter()
-    if not candidate_phases(spec, s, prev_phase, cfg):
-        raise NoFeasibleScheduleError("no feasible candidate phase exists")
+    spec.validate_snapshot(s)
     width = len(_base_phases(spec, cfg))
     if width ** cfg.horizon > cap:
         raise OracleTooLargeError(f"{width}^{cfg.horizon} schedules exceed the cap of {cap}")
@@ -543,7 +543,7 @@ def exhaustive_oracle(
                 best_cost = accrued
                 best_schedule = tuple(prefix)
             return
-        for ph in candidate_phases(spec, state, prev, cfg):
+        for ph in candidate_phases(spec, state, cfg):
             by_depth[depth] += 1
             cost, nxt = rollout_cost(spec, state, (ph,), prev, cfg.dynamics)
             prefix.append(ph)

@@ -129,7 +129,7 @@ def random_equivalence_instance(rng):
         wmax=60,
         dynamics=DynamicsConfig(phase_ticks=phase_ticks, slow_start=slow_start),
     )
-    base = candidate_phases(spec, s, spec.all_closed(), cfg)
+    base = candidate_phases(spec, s, cfg)
     while len(base) ** cfg.horizon > 800 and cfg.horizon > 1:
         cfg = SolverConfig(
             horizon=cfg.horizon - 1,

@@ -5,6 +5,8 @@ import re
 import time
 from pathlib import Path
 
+import pytest
+
 import greenlight.cli as cli
 from greenlight import (
     MAX_FEASIBLE_PHASES,
@@ -17,7 +19,6 @@ from greenlight import (
     save_snapshot,
 )
 from greenlight.cli import SWEEP_HEADER, main
-from greenlight.errors import NoFeasibleScheduleError
 
 DATA = Path(__file__).parent / "data"
 INSTANCE = str(DATA / "instance_default.json")
@@ -139,16 +140,36 @@ def test_optimize_unparseable_json_exits_2_with_position(capsys, tmp_path):
     assert "line 1" in err and "column" in err
 
 
-def test_optimize_infeasibility_exits_3(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise NoFeasibleScheduleError("no candidate phases at depth 0")
+def write_complete_conflict_instance(tmp_path):
+    # every pair of the 12 paths conflicts, so the only phases are the
+    # 12 single-path ones, maximal and all-feasible alike
+    doc = json.loads(Path(INSTANCE).read_text())
+    doc["conflict_matrix"] = [[int(i != j) for j in range(12)] for i in range(12)]
+    path = tmp_path / "complete.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
-    monkeypatch.setattr(cli, "optimize_schedule", refuse)
-    code, _, err = run_cli(
-        capsys, "optimize", "--instance", INSTANCE, "--snapshot", SNAPSHOT
+
+@pytest.mark.parametrize("maximal", ["--maximal", "--no-maximal"])
+def test_optimize_guard_on_complete_conflict_graph_opens_overdue_path(
+    capsys, tmp_path, maximal
+):
+    # the worst case for the starvation guard: one overdue vehicle on the
+    # last path, a heavier queue on path 0 the planner would rather serve,
+    # and only single-path phases. A phase opening path 11 still exists.
+    instance = write_complete_conflict_instance(tmp_path)
+    snap = tmp_path / "overdue.json"
+    snap.write_text(json.dumps({"tick": 0, "queues": [[[5, 0]] * 6] + [[]] * 10 + [[[1, 60]]]}))
+    code, out, err = run_cli(
+        capsys, "optimize", "--instance", instance, "--snapshot", str(snap), maximal
     )
-    assert code == 3
-    assert "no candidate phases" in err
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "phase 1: open 11"
+    # without the guard the planner serves path 0 first
+    code, out, _ = run_cli(
+        capsys, "optimize", "--instance", instance, "--snapshot", str(snap), maximal, "--wmax", "0"
+    )
+    assert (code, out.splitlines()[0]) == (0, "phase 1: open 0")
 
 
 def test_phases_zero_matrix_counts_4095(capsys, tmp_path):

@@ -24,6 +24,8 @@ from greenlight import (
     standard_movements,
 )
 
+from conflict_strategies import symmetric_matrix_strategy
+
 
 def spec12():
     return IntersectionSpec.standard(max_queue_len=6)
@@ -118,22 +120,6 @@ def test_f2_is_blind_to_queues():
     assert other is not cm
     for tick in (0, 3, 17, 120):
         assert decide_f2(tick, cm, 4) == decide_f2(tick, other, 4)
-
-
-def symmetric_matrix_strategy(max_paths=10):
-    """Random symmetric conflict matrices with a zero diagonal."""
-
-    def build(p, bits):
-        data = np.zeros((p, p), dtype=bool)
-        data[np.triu_indices(p, 1)] = bits
-        return ConflictMatrix(data | data.T)
-
-    return st.integers(min_value=1, max_value=max_paths).flatmap(
-        lambda p: st.builds(
-            build, st.just(p), st.lists(st.booleans(), min_size=p * (p - 1) // 2,
-                                        max_size=p * (p - 1) // 2)
-        )
-    )
 
 
 def assert_f2_revolution_opens_every_path(cm, phase_ticks):

@@ -8,6 +8,7 @@ import pytest
 
 import greenlight.simulator as simulator
 from greenlight import (
+    ConflictMatrix,
     ControllerState,
     DynamicsConfig,
     EpisodeStats,
@@ -29,6 +30,7 @@ from greenlight import (
     initial_green_ages,
     run_episode,
     seed_initial_queues,
+    standard_movements,
     step,
 )
 from greenlight.errors import InvalidSpecError
@@ -210,18 +212,30 @@ def test_same_seed_reproduces_episode_exactly():
     assert a_log == b_log
 
 
+def complete_conflict_spec(max_queue_len):
+    # every pair of paths conflicts, so each phase opens one path: the
+    # junction where a starved path is hardest to serve
+    return IntersectionSpec(
+        arms=4,
+        paths=standard_movements(4),
+        max_queue_len=max_queue_len,
+        conflicts=ConflictMatrix(~np.eye(12, dtype=bool)),
+    )
+
+
 def test_drain_conserves_seeded_vehicles():
-    # a terminated drain run departs exactly the seeded population
-    spec = spec12(max_queue_len=8)
-    for intensity in (0.25, 0.5, 1.0):
-        cfg = SimConfig(spec=spec, intensity=intensity, seed=2)
-        seeded = 12 * spec.fill_count(intensity)
-        for policy in (PolicyKind.HORIZON, PolicyKind.F1, PolicyKind.F2):
-            stats, log = run_episode(cfg, policy)
-            assert stats.terminated
-            assert stats.throughput == seeded
-            assert len(log) == seeded
-            assert stats.rejected_arrivals == 0
+    # a terminated drain run departs exactly the seeded population, also
+    # on the complete conflict graph, where no policy may deadlock
+    for spec in (spec12(max_queue_len=8), complete_conflict_spec(8)):
+        for intensity in (0.25, 0.5, 1.0):
+            cfg = SimConfig(spec=spec, intensity=intensity, seed=2)
+            seeded = 12 * spec.fill_count(intensity)
+            for policy in (PolicyKind.HORIZON, PolicyKind.F1, PolicyKind.F2):
+                stats, log = run_episode(cfg, policy)
+                assert stats.terminated
+                assert stats.throughput == seeded
+                assert len(log) == seeded
+                assert stats.rejected_arrivals == 0
 
 
 def test_steady_accounting_against_replayed_stream():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenlight import (
@@ -30,7 +30,9 @@ from greenlight import (
 from greenlight.cli import main as cli_main
 from greenlight.errors import InvalidSpecError, OracleTooLargeError, TooManyPhasesError
 import greenlight.solver as solver
-from greenlight.solver import _bits, _clique_terms, _set_bits, _tables
+from greenlight.solver import _base_phases, _bits, _clique_terms, _phases_opening, _set_bits, _tables
+
+from conflict_strategies import symmetric_matrix_strategy
 
 
 def snapshot_with(spec, path_queues, tick=0):
@@ -78,7 +80,7 @@ def test_candidates_without_guard_or_restriction():
     # zero conflicts over 3 paths: all 2^3 - 1 subsets qualify
     spec = zero_conflict_spec(3)
     cfg = SolverConfig(maximal_only=False)
-    phases = candidate_phases(spec, spec.empty_snapshot(), spec.all_closed(), cfg)
+    phases = candidate_phases(spec, spec.empty_snapshot(), cfg)
     assert len(phases) == 7
     assert [p.mask for p in phases] == list(range(1, 8))
 
@@ -86,7 +88,7 @@ def test_candidates_without_guard_or_restriction():
 def test_candidates_restricted_to_maximal():
     spec = zero_conflict_spec(3)
     cfg = SolverConfig(maximal_only=True)
-    phases = candidate_phases(spec, spec.empty_snapshot(), spec.all_closed(), cfg)
+    phases = candidate_phases(spec, spec.empty_snapshot(), cfg)
     assert [p.mask for p in phases] == [7]
 
 
@@ -109,7 +111,7 @@ def test_guard_forces_overdue_path_open():
     spec = IntersectionSpec.standard(max_queue_len=6)
     cfg = SolverConfig(wmax=60)
     s = snapshot_with(spec, {5: [(1, 60)], 0: [(1, 3)]})
-    phases = candidate_phases(spec, s, spec.all_closed(), cfg)
+    phases = candidate_phases(spec, s, cfg)
     assert phases
     assert all(p.is_open(5) for p in phases)
 
@@ -120,7 +122,7 @@ def test_guard_prefers_longest_wait():
     spec = IntersectionSpec.standard(max_queue_len=6)
     cfg = SolverConfig(wmax=60)
     s = snapshot_with(spec, {2: [(1, 70)], 9: [(1, 65)]})
-    phases = candidate_phases(spec, s, spec.all_closed(), cfg)
+    phases = candidate_phases(spec, s, cfg)
     assert phases
     assert all(p.is_open(2) for p in phases)
 
@@ -129,16 +131,39 @@ def test_guard_wait_tie_breaks_to_lowest_index():
     spec = IntersectionSpec.standard(max_queue_len=6)
     cfg = SolverConfig(wmax=60)
     s = snapshot_with(spec, {9: [(1, 70)], 2: [(1, 70)]})
-    phases = candidate_phases(spec, s, spec.all_closed(), cfg)
+    phases = candidate_phases(spec, s, cfg)
     assert phases
     assert all(p.is_open(2) for p in phases)
+
+
+@given(symmetric_matrix_strategy(), st.booleans())
+@example(ConflictMatrix(~np.eye(10, dtype=bool)), True)
+@example(ConflictMatrix(~np.eye(10, dtype=bool)), False)
+@settings(max_examples=100)
+def test_property_guard_always_has_a_candidate(cm, maximal_only):
+    # a lone path never conflicts with itself, so it is a feasible phase
+    # inside some maximal one: every path has a phase opening it, even on
+    # the complete conflict graph, and the guard never runs out
+    spec = IntersectionSpec(
+        arms=4, paths=standard_movements(4)[: cm.paths], max_queue_len=2, conflicts=cm
+    )
+    cfg = SolverConfig(maximal_only=maximal_only, wmax=60)
+    base = _base_phases(spec, cfg)
+    for i in range(cm.paths):
+        opening = _phases_opening(base, i)
+        assert opening
+        assert all(ph.is_open(i) for ph in opening)
+        # path i alone is overdue; every other front vehicle is one tick short
+        queues = {j: [(1, 59)] for j in range(cm.paths)}
+        queues[i] = [(1, 60)]
+        assert candidate_phases(spec, snapshot_with(spec, queues), cfg) == opening
 
 
 def test_guard_disabled_ignores_waits():
     spec = IntersectionSpec.standard(max_queue_len=6)
     cfg = SolverConfig(wmax=None)
     s = snapshot_with(spec, {5: [(1, 999)]})
-    phases = candidate_phases(spec, s, spec.all_closed(), cfg)
+    phases = candidate_phases(spec, s, cfg)
     assert any(not p.is_open(5) for p in phases)
 
 
@@ -266,7 +291,7 @@ def random_instance(rng):
         wmax=60,
         dynamics=dyn,
     )
-    base = candidate_phases(spec, s, spec.all_closed(), cfg)
+    base = candidate_phases(spec, s, cfg)
     while len(base) ** cfg.horizon > 800 and cfg.horizon > 1:
         cfg = SolverConfig(
             horizon=cfg.horizon - 1,
@@ -405,7 +430,7 @@ def test_search_matches_oracle_on_tie_heavy_instances():
                 cfg = SolverConfig(horizon=horizon, maximal_only=maximal_only, dynamics=dyn)
                 feasible = enumerate_feasible_phases(spec.conflicts, maximal_only=False)
                 prev = feasible[int(rng.integers(0, len(feasible)))]
-                if len(candidate_phases(spec, s, prev, cfg)) ** horizon > 800:
+                if len(candidate_phases(spec, s, cfg)) ** horizon > 800:
                     continue
                 sol = optimize_schedule(spec, s, prev, cfg)
                 orc = exhaustive_oracle(spec, s, prev, cfg)
@@ -462,7 +487,7 @@ def last_block_inputs():
     for _ in range(2):
         s, prev, cfg = guard_active_instance(rng, spec, 2)
         wide = SolverConfig(horizon=2, maximal_only=False, dynamics=cfg.dynamics)
-        out.append((spec, s, prev, cfg, candidate_phases(spec, s, prev, wide)))
+        out.append((spec, s, prev, cfg, candidate_phases(spec, s, wide)))
     return out
 
 
