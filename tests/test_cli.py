@@ -140,34 +140,30 @@ def test_optimize_unparseable_json_exits_2_with_position(capsys, tmp_path):
     assert "line 1" in err and "column" in err
 
 
-def write_complete_conflict_instance(tmp_path):
-    # every pair of the 12 paths conflicts, so the only phases are the
-    # 12 single-path ones, maximal and all-feasible alike
-    doc = json.loads(Path(INSTANCE).read_text())
-    doc["conflict_matrix"] = [[int(i != j) for j in range(12)] for i in range(12)]
-    path = tmp_path / "complete.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
 @pytest.mark.parametrize("maximal", ["--maximal", "--no-maximal"])
 def test_optimize_guard_on_complete_conflict_graph_opens_overdue_path(
     capsys, tmp_path, maximal
 ):
-    # the worst case for the starvation guard: one overdue vehicle on the
-    # last path, a heavier queue on path 0 the planner would rather serve,
-    # and only single-path phases. A phase opening path 11 still exists.
-    instance = write_complete_conflict_instance(tmp_path)
+    # the worst case for the starvation guard: every pair of the 12 paths
+    # conflicts, so the only phases are the single-path ones, maximal and
+    # all-feasible alike; one vehicle on the last path is overdue, and
+    # path 0 holds a heavier queue the planner would rather serve. A
+    # phase opening path 11 still exists.
+    doc = json.loads(Path(INSTANCE).read_text())
+    doc["conflict_matrix"] = [[int(i != j) for j in range(12)] for i in range(12)]
+    instance = tmp_path / "complete.json"
+    instance.write_text(json.dumps(doc))
     snap = tmp_path / "overdue.json"
     snap.write_text(json.dumps({"tick": 0, "queues": [[[5, 0]] * 6] + [[]] * 10 + [[[1, 60]]]}))
     code, out, err = run_cli(
-        capsys, "optimize", "--instance", instance, "--snapshot", str(snap), maximal
+        capsys, "optimize", "--instance", str(instance), "--snapshot", str(snap), maximal
     )
     assert (code, err) == (0, "")
     assert out.splitlines()[0] == "phase 1: open 11"
     # without the guard the planner serves path 0 first
     code, out, _ = run_cli(
-        capsys, "optimize", "--instance", instance, "--snapshot", str(snap), maximal, "--wmax", "0"
+        capsys, "optimize", "--instance", str(instance), "--snapshot", str(snap), maximal,
+        "--wmax", "0",
     )
     assert (code, out.splitlines()[0]) == (0, "phase 1: open 0")
 
