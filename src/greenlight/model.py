@@ -130,7 +130,7 @@ class ConflictMatrix:
 
     Instances are immutable values; derived structures (per-path conflict
     bit masks, the maximal-phase list and its open paths, the all-feasible
-    list, the clique cover) are computed lazily, at most once per matrix,
+    list and its parent links, the clique cover) are computed lazily, at most once per matrix,
     and cached, as are the masks `is_feasible_phase` has accepted.
     """
 
@@ -150,6 +150,7 @@ class ConflictMatrix:
         self._maximal: tuple[Phase, ...] | None = None
         self._maximal_paths: tuple[tuple[int, ...], ...] | None = None
         self._feasible: tuple[Phase, ...] | None = None
+        self._links: tuple[tuple[int, int], ...] | None = None
         self._cliques: tuple[tuple[int, ...], ...] | None = None
         self._proven_feasible: set[int] = set()  # masks is_feasible_phase accepted
 
@@ -217,6 +218,28 @@ class ConflictMatrix:
             masks = _independent_sets(self.neighbor_masks())
             self._feasible = tuple(Phase(m, self.paths) for m in masks)
         return self._feasible
+
+    def feasible_links(self) -> tuple[tuple[int, int], ...]:
+        """Each all-feasible phase's parent, aligned with feasible_phases().
+
+        Entry j is (parent, low): low is the lowest path phase j opens,
+        and parent is the position in feasible_phases() of phase j without
+        low, or -1 when that leaves the empty set. The list is downward
+        closed, so the parent is in it, and ascending, so parent < j: a
+        phase's open paths are its parent's plus low (the parent link of
+        reverse search, Avis & Fukuda 1996). Built on first call, not with
+        the list.
+        """
+        if self._links is None:
+            phases = self.feasible_phases()
+            at = {ph.mask: j for j, ph in enumerate(phases)}
+            at[0] = -1
+            links = []
+            for ph in phases:
+                low = ph.mask & -ph.mask
+                links.append((at[ph.mask ^ low], low.bit_length() - 1))
+            self._links = tuple(links)
+        return self._links
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ConflictMatrix) and np.array_equal(

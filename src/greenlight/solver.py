@@ -45,6 +45,28 @@ bits depend on the mask alone, not on the call, junction or queue, so
 one index serves every call; keys are plain ints and values are
 tuples, so no caller can change what another reads.
 
+All-feasible candidates are scored from their parents. The list of
+`ConflictMatrix.feasible_phases()` is downward closed and ascending, so a
+phase without its lowest open path is another phase earlier in the list,
+or the empty set (`ConflictMatrix.feasible_links`, the parent link of
+reverse search, Avis & Fukuda 1996). A candidate's score at a node, the
+sum of its open paths' changes, is then its parent's score plus one
+change, read from the node's table as branch and bound scores a child
+from its node (Land & Doig 1960); a path with nothing queued changes
+nothing. On the unfiltered all-feasible list a node therefore runs one
+fused loop of one table read per candidate, and keeps the candidates
+under the incumbent; at a leaf, and in the dive, each kept one tightens
+the limit, as it would become the incumbent. Only the kept ones reach
+the per-candidate loop that every list shares, which reads their open
+paths from `_bits`, tests them again against the incumbent of the
+moment, and holds the leaf update, the clique re-test, the child state
+and the recursion. The scores are the same integers in the same order,
+so schedules, costs, the tie-break and node counts do not change. The
+maximal list keeps the per-path sums, since no maximal phase contains
+another and none has a parent in it. Guard-filtered lists keep them
+too: a phase whose lowest path is the guard's target has its parent
+outside the list.
+
 The bound is slow-start aware. Over the R ticks after a block, the j-th
 vehicle still queued on a path pays at least min(j, R) if the block
 left the path open, and min(j + slow_start, R) if it left it closed,
@@ -86,6 +108,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import inf
 
 from .dynamics import DynamicsConfig, rollout_cost
 from .errors import InvalidSpecError, OracleTooLargeError
@@ -349,6 +372,10 @@ def optimize_schedule(
     module's shared mask index (bounded by `_BITS_MAXSIZE` entries;
     safe to share because a mask's set bits depend on nothing else and
     its entries are int keys and tuple values).
+    On the unfiltered all-feasible list a candidate instead costs one
+    lookup: its parent's score plus its lowest path's change, and only
+    those under the incumbent go on to the shared loop (see the module
+    docstring).
 
     For k > 1 a greedy dive through the same `dfs` (same tables, guard
     filter and node expansion) first reaches one leaf of cost c, and the
@@ -389,6 +416,12 @@ def optimize_schedule(
         for depth in range(k)
     ]
     oldest = max((w for q in waits for w in q), default=-1)
+    # the all-feasible list scores each candidate from its parent (see the
+    # module docstring); gains[j] holds candidate j's score at the node
+    # being scored, and gains[-1] stays 0 for the empty parent of singletons
+    links = None if cfg.maximal_only else spec.conflicts.feasible_links()
+    if links is not None:
+        gains = [0] * (len(base) + 1)
     guarded: dict[int, tuple[Phase, ...]] = {}
     bits = _bits
     # the clique bound prices the last block at depth k - 2 (see the
@@ -421,6 +454,7 @@ def optimize_schedule(
                 if cands is None:
                     cands = guarded[target] = _phases_opening(base, target)
         by_depth[depth] += len(cands)
+        leaf = depth == k - 1
         bound_row, rows = levels[depth]
         queued = bits.get(live)
         if queued is None:
@@ -438,7 +472,23 @@ def optimize_schedule(
             closed_total += c + bound_row[i][di]
             entry = opening[i] = rows[warm >> i & 1][i][di]
             change[i] = entry[0]
-        if dive:
+        if links is not None and cands is base:
+            # one table read per candidate: its score is its parent's plus
+            # the change of its lowest path (0 unless queued). Keep those
+            # under the incumbent. At a leaf each kept one becomes the
+            # incumbent, so tighten as the loop below will; the dive
+            # tightens from no limit, so its last kept is the first least
+            limit = inf if dive or best_cost is None else best_cost - accrued - closed_total
+            tight = leaf or dive
+            kept = []
+            for j, (parent, low) in enumerate(links):
+                gain = gains[j] = gains[parent] + change[low]
+                if gain < limit:
+                    kept.append(cands[j])
+                    if tight:
+                        limit = gain
+            cands = kept[-1:] if dive else kept
+        elif dive:
             # keep the first candidate of least total; all share accrued +
             # closed_total, so compare the open paths' changes
             low = None
@@ -453,7 +503,6 @@ def optimize_schedule(
                 if low is None or gain < low:
                     low, pick = gain, ph
             cands = (pick,)
-        leaf = depth == k - 1
         # clique terms of this node, built when its first candidate passes
         # the per-path test; the dive keeps the per-path bound
         tighten = depth == last and not dive

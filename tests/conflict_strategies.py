@@ -7,16 +7,22 @@ from greenlight import ConflictMatrix
 
 
 def symmetric_matrix_strategy(max_paths=10):
-    """Random symmetric conflict matrices with a zero diagonal."""
+    """Random symmetric conflict matrices with a zero diagonal, at any density.
 
-    def build(p, bits):
+    Each pair conflicts with a probability drawn from [0, 1] first, so the
+    empty graph (every subset feasible) and the complete graph (only
+    singletons) are as reachable as the graphs in between.
+    """
+
+    @st.composite
+    def build(draw):
+        p = draw(st.integers(min_value=1, max_value=max_paths))
+        density = draw(st.floats(min_value=0.0, max_value=1.0))
+        pairs = p * (p - 1) // 2
+        draws = draw(st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                              min_size=pairs, max_size=pairs))
         data = np.zeros((p, p), dtype=bool)
-        data[np.triu_indices(p, 1)] = bits
+        data[np.triu_indices(p, 1)] = [u < density for u in draws]
         return ConflictMatrix(data | data.T)
 
-    return st.integers(min_value=1, max_value=max_paths).flatmap(
-        lambda p: st.builds(
-            build, st.just(p), st.lists(st.booleans(), min_size=p * (p - 1) // 2,
-                                        max_size=p * (p - 1) // 2)
-        )
-    )
+    return build()

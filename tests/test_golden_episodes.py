@@ -1,18 +1,30 @@
 """Golden digests: seeded sweeps and episodes stay bit-identical.
 
 `tests/data/golden_episodes.txt` holds the sha256 of a small drain-mode
-`greenlight sweep` CSV and of the stats and wait logs of seeded steady
-episodes. Any change to the dynamics, the controllers or the draw order
+`greenlight sweep` CSV, of the stats and wait logs of seeded steady
+episodes, and of seeded steady horizon episodes planned over all feasible
+phases (`maximal_only=False`, k = 2). Any change to the dynamics, the controllers or the draw order
 that alters one episode changes a digest. To regenerate the file after a
-deliberate behaviour change, run
+deliberate behaviour change, keep the file's first line (a comment) and
+replace the rest with this module's output:
 
-    PYTHONPATH=src python tests/test_golden_episodes.py > tests/data/golden_episodes.txt
+    G=tests/data/golden_episodes.txt
+    { head -n 1 $G; PYTHONPATH=src python tests/test_golden_episodes.py; } > $G.new && mv $G.new $G
+
+CI checks that the output equals the file without its comment line.
 """
 
 import hashlib
 from pathlib import Path
 
-from greenlight import IntersectionSpec, PolicyKind, SimConfig, SimMode, run_episode
+from greenlight import (
+    IntersectionSpec,
+    PolicyKind,
+    SimConfig,
+    SimMode,
+    SolverConfig,
+    run_episode,
+)
 from greenlight.cli import main
 from greenlight.fileio import format_wait_log
 
@@ -33,6 +45,7 @@ STEADY_POLICIES = (PolicyKind.F1, PolicyKind.F2, PolicyKind.HORIZON)
 STEADY_INTENSITIES = (0.5, 1.0)
 STEADY_SEEDS = (0, 1)
 STEADY_TICKS = 300
+ALL_FEASIBLE = SolverConfig(horizon=2, maximal_only=False)
 
 
 def sweep_digest(tmp_dir: Path) -> str:
@@ -41,10 +54,10 @@ def sweep_digest(tmp_dir: Path) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def steady_digest() -> str:
+def steady_digest(policies=STEADY_POLICIES, solver_cfg: SolverConfig | None = None) -> str:
     spec = IntersectionSpec.standard()
     h = hashlib.sha256()
-    for policy in STEADY_POLICIES:
+    for policy in policies:
         for intensity in STEADY_INTENSITIES:
             for seed in STEADY_SEEDS:
                 cfg = SimConfig(
@@ -54,10 +67,19 @@ def steady_digest() -> str:
                     mode=SimMode.STEADY,
                     episode_ticks=STEADY_TICKS,
                 )
-                stats, log = run_episode(cfg, policy)
+                stats, log = run_episode(cfg, policy, solver_cfg)
                 h.update(f"{policy.value} {intensity} {seed}\n{stats!r}\n".encode())
                 h.update(format_wait_log(log).encode())
     return h.hexdigest()
+
+
+def all_feasible_digest() -> str:
+    """Steady horizon episodes planned over every feasible phase.
+
+    The guard fires inside about half of these plans, so the digest
+    covers guard-filtered all-feasible lists as well as full ones.
+    """
+    return steady_digest((PolicyKind.HORIZON,), ALL_FEASIBLE)
 
 
 def read_golden() -> dict[str, str]:
@@ -76,6 +98,10 @@ def test_steady_episodes_match_golden():
     assert steady_digest() == read_golden()["steady_episodes_sha256"]
 
 
+def test_all_feasible_episodes_match_golden():
+    assert all_feasible_digest() == read_golden()["all_feasible_episodes_sha256"]
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -85,3 +111,4 @@ if __name__ == "__main__":
         sweep = sweep_digest(Path(tmp))
     print(f"sweep_csv_sha256: {sweep}")
     print(f"steady_episodes_sha256: {steady_digest()}")
+    print(f"all_feasible_episodes_sha256: {all_feasible_digest()}")

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenlight import (
@@ -349,6 +349,36 @@ def test_property_clique_cover_is_disjoint_cliques(cm):
     for phase in cm.feasible_phases():
         for clique in cm.clique_cover():
             assert sum(phase.is_open(i) for i in clique) <= 1
+
+
+@given(conflict_matrix_strategy(max_paths=10))
+@example(ConflictMatrix(np.zeros((8, 8), dtype=bool)))
+@example(ConflictMatrix(~np.eye(8, dtype=bool)))
+@settings(max_examples=100)
+def test_property_feasible_links_point_to_earlier_parents(cm):
+    # every phase of two or more paths has its parent, itself without its
+    # lowest path, earlier in the list; singletons link to -1. The empty
+    # graph lists every subset, the complete graph singletons only
+    phases = cm.feasible_phases()
+    links = cm.feasible_links()
+    assert len(links) == len(phases)
+    for j, (ph, (parent, low)) in enumerate(zip(phases, links)):
+        assert ph.open_paths()[0] == low
+        if len(ph.open_paths()) == 1:
+            assert parent == -1
+        else:
+            assert 0 <= parent < j
+            assert phases[parent].mask == ph.mask & ~(1 << low)
+
+
+def test_feasible_links_are_built_on_first_call_only():
+    # listing the phases does not build the links: junction set-up that
+    # enumerates phases pays nothing for a table only the search reads
+    cm = IntersectionSpec.standard(5).conflicts
+    cm.feasible_phases()
+    assert cm._links is None
+    assert cm.feasible_links() is cm.feasible_links()
+    assert len(cm.feasible_links()) == len(cm.feasible_phases())
 
 
 @pytest.mark.parametrize("arms", [3, 4, 5, 6])
