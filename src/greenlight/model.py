@@ -130,8 +130,9 @@ class ConflictMatrix:
 
     Instances are immutable values; derived structures (per-path conflict
     bit masks, the maximal-phase list and its open paths, the all-feasible
-    list and its parent links, the clique cover) are computed lazily, at most once per matrix,
-    and cached, as are the masks `is_feasible_phase` has accepted.
+    list and its parent links, the clique cover) are computed lazily, at
+    most once per matrix, and cached, as are the masks
+    `is_feasible_phase` has accepted.
     """
 
     def __init__(self, data: np.ndarray):

@@ -3,10 +3,11 @@
 `tests/data/golden_episodes.txt` holds the sha256 of a small drain-mode
 `greenlight sweep` CSV, of the stats and wait logs of seeded steady
 episodes, and of seeded steady horizon episodes planned over all feasible
-phases (`maximal_only=False`, k = 2). Any change to the dynamics, the controllers or the draw order
-that alters one episode changes a digest. To regenerate the file after a
-deliberate behaviour change, keep the file's first line (a comment) and
-replace the rest with this module's output:
+phases (`maximal_only=False`, k = 2). Any change to the dynamics, the
+controllers, the search or the draw order that alters one episode
+changes a digest. To regenerate the file after a deliberate behaviour
+change, keep the file's first line (a comment) and replace the rest
+with this module's output:
 
     G=tests/data/golden_episodes.txt
     { head -n 1 $G; PYTHONPATH=src python tests/test_golden_episodes.py; } > $G.new && mv $G.new $G
