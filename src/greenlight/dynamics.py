@@ -124,6 +124,8 @@ def initial_green_ages(
     spec: IntersectionSpec, prev_phase: Phase, cfg: DynamicsConfig
 ) -> list[int]:
     """Green ages entering a plan: paths already open count as warmed up."""
+    if prev_phase.width != spec.num_paths:
+        raise DimensionError(f"phase width {prev_phase.width} != matrix size {spec.num_paths}")
     return [cfg.slow_start if prev_phase.is_open(i) else 0 for i in range(spec.num_paths)]
 
 

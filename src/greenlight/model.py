@@ -8,9 +8,11 @@ conflict. Neither phase list scans the 2^P subsets: the maximal phases
 are the maximal cliques of the compatibility graph, and all feasible
 phases come from a recursion over independent sets whose work grows
 with the number found, capped at MAX_FEASIBLE_PHASES. Both lists are
-cached on the ConflictMatrix. Queue state round-trips through a
-(P, 2, L) integer array: plane 0 holds priorities front to back, plane
-1 the waiting times, and unused slots are zero in both planes.
+cached on the ConflictMatrix. One bounded index from a mask to its set
+bits (`_set_bits`) serves `Phase.open_paths`, `is_feasible_phase` and
+the solver. Queue state round-trips through a (P, 2, L) integer array:
+plane 0 holds priorities front to back, plane 1 the waiting times, and
+unused slots are zero in both planes.
 """
 
 from __future__ import annotations
@@ -83,6 +85,24 @@ def standard_movements(arms: int = DEFAULT_ARMS) -> tuple[Movement, ...]:
     )
 
 
+_BITS_MAXSIZE = 1 << 16
+# mask -> indices of its set bits, shared by every call (see _set_bits)
+_bits: dict[int, tuple[int, ...]] = {}
+
+
+def _set_bits(m: int) -> tuple[int, ...]:
+    """Indices of the set bits of mask m, ascending, stored in `_bits`.
+
+    The answer depends on m alone, so one index serves every call,
+    junction and queue. It is cleared once it holds `_BITS_MAXSIZE`
+    entries (about 190 B each by tracemalloc, so about 12 MB at most).
+    """
+    if len(_bits) >= _BITS_MAXSIZE:
+        _bits.clear()
+    got = _bits[m] = tuple(i for i in range(m.bit_length()) if m >> i & 1)
+    return got
+
+
 @dataclass(frozen=True)
 class Phase:
     """Set of simultaneously open paths, packed into a bit mask of width P."""
@@ -102,7 +122,8 @@ class Phase:
         return bool(self.mask >> path & 1)
 
     def open_paths(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.width) if self.mask >> i & 1)
+        got = _bits.get(self.mask)
+        return _set_bits(self.mask) if got is None else got
 
     def __str__(self) -> str:
         return "{" + ",".join(map(str, self.open_paths())) + "}"
@@ -310,12 +331,9 @@ def is_feasible_phase(phase: Phase, conflicts: ConflictMatrix) -> bool:
     if mask in conflicts._proven_feasible:
         return True
     neighbors = conflicts.neighbor_masks()
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
+    for i in phase.open_paths():
         if neighbors[i] & mask:
             return False
-        m &= m - 1
     conflicts._proven_feasible.add(mask)
     return True
 
@@ -537,7 +555,8 @@ class IntersectionSpec:
         """Seeded vehicles per path for a load level in [0, 1]."""
         if not 0.0 <= intensity <= 1.0:
             raise InvalidSpecError(f"intensity must be in [0, 1], got {intensity}")
-        return ceil(intensity * self.max_queue_len)
+        # round away float error first: 0.28 * 25 is 7.000000000000001
+        return ceil(round(intensity * self.max_queue_len, 9))
 
 
 def encode_snapshot(s: TrafficSnapshot, spec: IntersectionSpec) -> np.ndarray:

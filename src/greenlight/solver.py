@@ -38,12 +38,13 @@ because the tables are nested tuples, which no caller can change. On
 the C3 drain grid about 93% of lookups hit the memo.
 
 The index from a mask to the indices of its set bits (the paths it
-opens) is shared the same way: `_bits`, a plain dict at module level,
-filled on first use by `_set_bits` and cleared once it holds
-`_BITS_MAXSIZE` = 65,536 entries, about 12 MB at most. A mask's set
-bits depend on the mask alone, not on the call, junction or queue, so
-one index serves every call; keys are plain ints and values are
-tuples, so no caller can change what another reads.
+opens) is shared the same way: `_bits`, a plain dict at module level in
+`model.py`, filled on first use by `model._set_bits` and cleared once
+it holds `_BITS_MAXSIZE` = 65,536 entries, about 12 MB at most.
+`Phase.open_paths()` and `is_feasible_phase` read the same index. A
+mask's set bits depend on the mask alone, not on the call, junction or
+queue, so one index serves every call; keys are plain ints and values
+are tuples, so no caller can change what another reads.
 
 All-feasible candidates are scored from their parents. The list of
 `ConflictMatrix.feasible_phases()` is downward closed and ascending, so a
@@ -111,11 +112,13 @@ from functools import lru_cache
 from math import inf
 
 from .dynamics import DynamicsConfig, rollout_cost
-from .errors import InvalidSpecError, OracleTooLargeError
+from .errors import DimensionError, InvalidSpecError, OracleTooLargeError
 from .model import (
     IntersectionSpec,
     Phase,
     TrafficSnapshot,
+    _bits,
+    _set_bits,
 )
 
 DEFAULT_ORACLE_CAP = 1_000_000
@@ -295,24 +298,6 @@ def _tables(priorities: tuple[int, ...], big_d: int, small_s: int, k: int):
     return closed, tuple(cold_bound), tuple(cold), tuple(warm)
 
 
-_BITS_MAXSIZE = 1 << 16
-# mask -> indices of its set bits, shared by every call (see _set_bits)
-_bits: dict[int, tuple[int, ...]] = {}
-
-
-def _set_bits(m: int) -> tuple[int, ...]:
-    """Indices of the set bits of mask m, ascending, stored in `_bits`.
-
-    The answer depends on m alone, so one index serves every call,
-    junction and queue. It is cleared once it holds `_BITS_MAXSIZE`
-    entries (about 190 B each by tracemalloc, so about 12 MB at most).
-    """
-    if len(_bits) >= _BITS_MAXSIZE:
-        _bits.clear()
-    got = _bits[m] = tuple(i for i in range(m.bit_length()) if m >> i & 1)
-    return got
-
-
 def _clique_terms(cliques, live, d, opening, cold_last, warm_last):
     """One node's clique correction to the last block's bound, at depth k - 2.
 
@@ -369,7 +354,7 @@ def optimize_schedule(
     and the slow-start-aware bound come from per-path tables, memoised
     across calls by `_tables`, so a candidate costs one lookup per open
     queued path. The open paths of a mask come from `_bits`, the
-    module's shared mask index (bounded by `_BITS_MAXSIZE` entries;
+    shared mask index of `model.py` (bounded by `_BITS_MAXSIZE` entries;
     safe to share because a mask's set bits depend on nothing else and
     its entries are int keys and tuple values).
     On the unfiltered all-feasible list a candidate instead costs one
@@ -394,6 +379,8 @@ def optimize_schedule(
     """
     t0 = time.perf_counter()
     spec.validate_snapshot(s)
+    if prev_phase.width != spec.num_paths:
+        raise DimensionError(f"phase width {prev_phase.width} != matrix size {spec.num_paths}")
     dyn = cfg.dynamics
     big_d = dyn.phase_ticks
     k = cfg.horizon

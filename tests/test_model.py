@@ -1,6 +1,8 @@
 """Tests for intersection geometry, conflict construction, and phase enumeration."""
 
+from dataclasses import replace
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -532,6 +534,19 @@ def test_fill_count_rounds_up():
     assert spec.fill_count(0.25) == 3
     assert spec.fill_count(0.0) == 0
     assert spec.fill_count(1.0) == 10
+
+
+def test_fill_count_is_the_exact_ceiling_of_rational_intensities():
+    # 0.28 * 25 is 7.000000000000001 in floating point, and a plain ceil
+    # seeded 8 vehicles per path there instead of 7
+    assert IntersectionSpec.standard(max_queue_len=25).fill_count(0.28) == 7
+    # k / d in lowest terms, so each intensity is tried once
+    fractions = [(k, d) for d in range(1, 101) for k in range(d + 1) if gcd(k, d) == 1]
+    base = IntersectionSpec.standard(max_queue_len=1)
+    for cap in range(1, 41):
+        spec = replace(base, max_queue_len=cap)
+        for k, d in fractions:
+            assert spec.fill_count(k / d) == -(-k * cap // d)
 
 
 def test_explicit_conflict_matrix_still_checks_paths(tmp_path):
