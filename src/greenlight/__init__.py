@@ -64,7 +64,6 @@ from .simulator import (
     SimMode,
     WaitLogEntry,
     append_arrivals,
-    draw_priority,
     generate_arrivals,
     run_episode,
     seed_initial_queues,
@@ -120,7 +119,6 @@ __all__ = [
     "decide_f2",
     "decide_horizon_opt",
     "decode_snapshot",
-    "draw_priority",
     "encode_snapshot",
     "enumerate_feasible_phases",
     "exhaustive_oracle",

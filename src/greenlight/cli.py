@@ -27,7 +27,7 @@ from .fileio import (
     load_snapshot,
     write_wait_log,
 )
-from .model import IntersectionSpec, enumerate_feasible_phases
+from .model import IntersectionSpec, _check_intensity, enumerate_feasible_phases
 from .policies import PolicyKind
 from .simulator import EpisodeStats, SimConfig, SimMode, WaitLogEntry, run_episode
 from .solver import SolverConfig, optimize_schedule
@@ -58,8 +58,7 @@ class SweepSpec:
         if not self.intensities:
             raise GreenlightError("at least one intensity required")
         for x in self.intensities:
-            if not 0.0 <= x <= 1.0:
-                raise GreenlightError(f"intensity {x} outside [0, 1]")
+            _check_intensity(x)
         if not self.policies:
             raise GreenlightError("at least one policy required")
 
@@ -113,18 +112,20 @@ def _policy_list(text: str) -> tuple[PolicyKind, ...]:
 
 
 def _add_dynamics_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--phase-ticks", type=int, default=4, help="ticks each phase is held")
-    p.add_argument("--slow-start", type=int, default=1, help="departure-free ticks after a path turns green")
-    p.add_argument("--tick-seconds", type=float, default=5.0, help="seconds per tick, reporting only")
+    dyn = DynamicsConfig()
+    p.add_argument("--phase-ticks", type=int, default=dyn.phase_ticks, help="ticks each phase is held")
+    p.add_argument("--slow-start", type=int, default=dyn.slow_start, help="departure-free ticks after a path turns green")
+    p.add_argument("--tick-seconds", type=float, default=dyn.tick_seconds, help="seconds per tick, reporting only")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--horizon", type=int, default=3, help="number of phases planned jointly")
-    p.add_argument("--wmax", type=int, default=60, help="starvation threshold in ticks; 0 disables the guard")
+    cfg = SolverConfig()
+    p.add_argument("--horizon", type=int, default=cfg.horizon, help="number of phases planned jointly")
+    p.add_argument("--wmax", type=int, default=cfg.wmax, help="starvation threshold in ticks; 0 disables the guard")
     p.add_argument(
         "--maximal",
         action=argparse.BooleanOptionalAction,
-        default=True,
+        default=cfg.maximal_only,
         help="restrict candidates to maximal feasible phases",
     )
 
@@ -303,20 +304,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", help="write the per-vehicle wait log CSV here")
     p_sim.set_defaults(fn=cmd_simulate)
 
+    sweep = SweepSpec()
     p_sweep = sub.add_parser("sweep", help="compare policies across load levels")
     p_sweep.add_argument("--instance", required=True, help="junction JSON file")
     p_sweep.add_argument(
         "--intensity",
         type=_float_list,
-        default=DEFAULT_INTENSITIES,
+        default=sweep.intensities,
         help="comma-separated load levels (default 0.1..1.0)",
     )
-    p_sweep.add_argument("--runs", type=int, default=20, help="episodes per (intensity, policy)")
-    p_sweep.add_argument("--seed", type=int, default=0, help="base seed; episode seed = base + run")
+    p_sweep.add_argument("--runs", type=int, default=sweep.runs, help="episodes per (intensity, policy)")
+    p_sweep.add_argument("--seed", type=int, default=sweep.base_seed, help="base seed; episode seed = base + run")
     p_sweep.add_argument(
         "--policy",
         type=_policy_list,
-        default=(PolicyKind.HORIZON, PolicyKind.F1, PolicyKind.F2),
+        default=sweep.policies,
         help="comma-separated subset of horizon,f1,f2",
     )
     p_sweep.add_argument("--mode", default="drain", choices=[m.value for m in SimMode])

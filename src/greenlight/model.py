@@ -480,6 +480,12 @@ class TrafficSnapshot:
         return all(not q for q in self.queues)
 
 
+def _check_intensity(intensity: float) -> None:
+    """The one range rule for a load level: [0, 1], which nan also fails."""
+    if not 0.0 <= intensity <= 1.0:
+        raise InvalidSpecError(f"intensity must be in [0, 1], got {intensity}")
+
+
 @dataclass(frozen=True)
 class IntersectionSpec:
     """Static description of one junction: geometry, paths, and conflicts."""
@@ -553,8 +559,7 @@ class IntersectionSpec:
 
     def fill_count(self, intensity: float) -> int:
         """Seeded vehicles per path for a load level in [0, 1]."""
-        if not 0.0 <= intensity <= 1.0:
-            raise InvalidSpecError(f"intensity must be in [0, 1], got {intensity}")
+        _check_intensity(intensity)
         # round away float error first: 0.28 * 25 is 7.000000000000001
         return ceil(round(intensity * self.max_queue_len, 9))
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import _record, initial_green_ages, step
 from .errors import InvalidSpecError
-from .model import IntersectionSpec, TrafficSnapshot, VehicleRecord
+from .model import IntersectionSpec, TrafficSnapshot, VehicleRecord, _check_intensity
 from .policies import (
     ControllerState,
     PolicyKind,
@@ -57,8 +57,7 @@ class SimConfig:
     episode_ticks: int = 500
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.intensity <= 1.0:
-            raise InvalidSpecError("intensity must lie in [0, 1]")
+        _check_intensity(self.intensity)
         if self.seed < 0:
             raise InvalidSpecError("seed must be nonnegative")
         if self.episode_ticks < 0:
@@ -110,11 +109,6 @@ def _priority_of(u: float, classes: tuple[tuple[int, float], ...]) -> int:
     return classes[-1][0]
 
 
-def draw_priority(rng: np.random.Generator, classes: tuple[tuple[int, float], ...]) -> int:
-    """Sample one priority weight by inverse CDF over the class list order."""
-    return _priority_of(rng.random(), classes)
-
-
 class _BufferedUniforms:
     """`rng.random()` served from `rng.random(_DRAW_BLOCK)` blocks, each drawn when needed."""
 
@@ -138,8 +132,8 @@ def seed_initial_queues(cfg: SimConfig, rng: np.random.Generator | None = None) 
     Priorities are drawn path by path, front to back. Passing an rng lets
     an episode continue the same stream for its arrivals; otherwise a
     generator is seeded from cfg.seed. All uniforms come from one vector
-    draw, which yields the same doubles as one `draw_priority` call per
-    vehicle, and map to classes through the same `_priority_of`.
+    draw, which yields the same doubles as one scalar `rng.random()` per
+    vehicle, and map to classes through `_priority_of`.
     """
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(cfg.seed))

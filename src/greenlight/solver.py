@@ -548,7 +548,6 @@ def exhaustive_oracle(
     s: TrafficSnapshot,
     prev_phase: Phase,
     cfg: SolverConfig,
-    cap: int = DEFAULT_ORACLE_CAP,
 ) -> Solution:
     """Enumerate every candidate schedule and keep the cheapest.
 
@@ -558,12 +557,14 @@ def exhaustive_oracle(
     exact because slow_start < phase_ticks (see the module docstring), and
     it shares no cost code with optimize_schedule's tables. Ties break to
     the lexicographically smallest schedule, same as the optimizer.
-    Refuses instances whose enumeration could exceed `cap` schedules,
-    projected from the unguarded candidate count, which bounds every depth.
+    Refuses instances whose enumeration could exceed DEFAULT_ORACLE_CAP
+    schedules, read at each call and projected from the unguarded
+    candidate count, which bounds every depth.
     """
     t0 = time.perf_counter()
     spec.validate_snapshot(s)
     width = len(_base_phases(spec, cfg))
+    cap = DEFAULT_ORACLE_CAP
     if width ** cfg.horizon > cap:
         raise OracleTooLargeError(f"{width}^{cfg.horizon} schedules exceed the cap of {cap}")
 

@@ -1,9 +1,23 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Junctions, snapshots and hypothesis strategies shared by the test modules."""
 
 import numpy as np
 from hypothesis import strategies as st
 
-from greenlight import ConflictMatrix
+from greenlight import ConflictMatrix, IntersectionSpec, TrafficSnapshot, VehicleRecord
+
+
+def spec12(max_queue_len=6):
+    """The default four-arm junction: 12 paths, 16 conflicting pairs."""
+    return IntersectionSpec.standard(max_queue_len=max_queue_len)
+
+
+def snapshot_with(spec, path_queues, tick=0):
+    """A snapshot of `spec` whose queues are {path: [(priority, wait), ...]},
+    front vehicle first; paths not named are empty."""
+    queues = [()] * spec.num_paths
+    for path, vehicles in path_queues.items():
+        queues[path] = tuple(VehicleRecord(p, w) for p, w in vehicles)
+    return TrafficSnapshot(tick, tuple(queues))
 
 
 def symmetric_matrix_strategy(max_paths=10):

@@ -409,10 +409,11 @@ def test_c9_invariant_suites(tmp_path, capsys):
         "f1,f2",
     ]
     assert cli.main(argv) == 0
-    first = capsys.readouterr().out
+    first = capsys.readouterr()
     assert cli.main(argv) == 0
-    second = capsys.readouterr().out
-    deterministic = first.encode() == second.encode()
+    second = capsys.readouterr()
+    # the CSV on stdout and the summary on stderr, byte for byte
+    deterministic = first.out.encode() == second.out.encode() and first.err == second.err
 
     ok = all(
         [symmetric, feasibility, conserved, admissible, roundtrip, deterministic]

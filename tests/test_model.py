@@ -37,6 +37,8 @@ from greenlight.errors import (
     TooManyPhasesError,
 )
 
+from helpers import symmetric_matrix_strategy
+
 
 def test_exit_arm_straight_is_opposite():
     # arms labeled clockwise, straight from arm 0 lands on arm 2
@@ -185,20 +187,6 @@ def test_feasibility_memo_belongs_to_its_matrix():
     assert is_feasible_phase(Phase(0b101, 3), ConflictMatrix(clash))
 
 
-def test_zero_matrix_yields_all_nonempty_subsets():
-    # sum of C(12, n) for n = 1..12 is 2^12 - 1 = 4095
-    cm = ConflictMatrix(np.zeros((12, 12), dtype=bool))
-    assert len(enumerate_feasible_phases(cm, maximal_only=False)) == 4095
-
-
-def test_complete_conflict_graph_leaves_singletons():
-    data = ~np.eye(12, dtype=bool)
-    cm = ConflictMatrix(data)
-    phases = enumerate_feasible_phases(cm, maximal_only=False)
-    assert [p.mask for p in phases] == [1 << i for i in range(12)]
-    assert enumerate_feasible_phases(cm, maximal_only=True) == phases
-
-
 def brute_force_feasible_masks(cm):
     """Filter every nonempty subset by the pairwise conflict test."""
     masks = np.arange(1, 1 << cm.paths, dtype=np.int64)
@@ -237,22 +225,6 @@ def test_default_maximal_phases_golden():
     assert str(maximal[0]) == "{0,1,2,3,6,9}"
 
 
-def test_maximal_phases_cannot_grow():
-    cm = IntersectionSpec.standard().conflicts
-    feasible = {p.mask for p in enumerate_feasible_phases(cm, maximal_only=False)}
-    for phase in enumerate_feasible_phases(cm, maximal_only=True):
-        assert phase.mask in feasible
-        for i in range(12):
-            if not phase.is_open(i):
-                assert (phase.mask | (1 << i)) not in feasible
-
-
-def test_phases_listed_in_ascending_mask_order():
-    cm = IntersectionSpec.standard().conflicts
-    masks = [p.mask for p in enumerate_feasible_phases(cm, maximal_only=False)]
-    assert masks == sorted(masks)
-
-
 def random_spec_strategy():
     def build(arms, side, merge):
         return IntersectionSpec.standard(
@@ -276,27 +248,7 @@ def test_property_conflict_matrix_shape(spec):
     assert not arr.diagonal().any()
 
 
-def conflict_matrix_strategy(max_paths=6):
-    def build(p, pair_bits):
-        data = np.zeros((p, p), dtype=bool)
-        idx = 0
-        for i in range(p):
-            for j in range(i + 1, p):
-                if pair_bits >> idx & 1:
-                    data[i, j] = data[j, i] = True
-                idx += 1
-        return ConflictMatrix(data)
-
-    return st.integers(min_value=2, max_value=max_paths).flatmap(
-        lambda p: st.builds(
-            build,
-            st.just(p),
-            st.integers(min_value=0, max_value=(1 << (p * (p - 1) // 2)) - 1),
-        )
-    )
-
-
-@given(conflict_matrix_strategy(), st.integers(min_value=0, max_value=63))
+@given(symmetric_matrix_strategy(max_paths=6), st.integers(min_value=0, max_value=63))
 @settings(max_examples=100)
 def test_property_feasibility_is_independent_set(cm, raw_mask):
     mask = raw_mask & ((1 << cm.paths) - 1)
@@ -306,14 +258,20 @@ def test_property_feasibility_is_independent_set(cm, raw_mask):
     assert is_feasible_phase(phase, cm) == independent
 
 
-@given(conflict_matrix_strategy(max_paths=10))
+@given(symmetric_matrix_strategy())
+@example(ConflictMatrix(np.zeros((12, 12), dtype=bool)))
+@example(ConflictMatrix(~np.eye(12, dtype=bool)))
 @settings(max_examples=50)
 def test_property_enumeration_matches_subset_filter(cm):
+    # the empty 12-path graph lists all 2^12 - 1 = 4095 nonempty subsets,
+    # the complete one its 12 singletons, which are also its maximal phases
     phases = enumerate_feasible_phases(cm, maximal_only=False)
     assert [p.mask for p in phases] == brute_force_feasible_masks(cm)
 
 
-@given(conflict_matrix_strategy(max_paths=10))
+@given(symmetric_matrix_strategy())
+@example(ConflictMatrix(np.zeros((12, 12), dtype=bool)))
+@example(ConflictMatrix(~np.eye(12, dtype=bool)))
 @settings(max_examples=50)
 def test_property_maximal_phases_are_maximal(cm):
     # the whole list, order included: sound and complete
@@ -334,7 +292,7 @@ def test_conflict_free_matrix_has_no_cliques():
     assert ConflictMatrix(np.zeros((5, 5), dtype=bool)).clique_cover() == ()
 
 
-@given(conflict_matrix_strategy(max_paths=10))
+@given(symmetric_matrix_strategy())
 @settings(max_examples=100)
 def test_property_clique_cover_is_disjoint_cliques(cm):
     seen = set()
@@ -353,7 +311,7 @@ def test_property_clique_cover_is_disjoint_cliques(cm):
             assert sum(phase.is_open(i) for i in clique) <= 1
 
 
-@given(conflict_matrix_strategy(max_paths=10))
+@given(symmetric_matrix_strategy())
 @example(ConflictMatrix(np.zeros((8, 8), dtype=bool)))
 @example(ConflictMatrix(~np.eye(8, dtype=bool)))
 @settings(max_examples=100)
@@ -426,6 +384,8 @@ def test_phase_lists_are_built_once_and_copied_out():
     cm = IntersectionSpec.standard().conflicts
     assert cm.feasible_phases() is cm.feasible_phases()
     assert cm.maximal_phases() is cm.maximal_phases()
+    assert cm.maximal_open_paths() is cm.maximal_open_paths()
+    assert cm.maximal_open_paths() == tuple(ph.open_paths() for ph in cm.maximal_phases())
     listed = enumerate_feasible_phases(cm, maximal_only=False)
     assert isinstance(listed, list)
     listed.clear()

@@ -25,7 +25,6 @@ from greenlight import (
     decide_f1,
     decide_f2,
     decide_horizon_opt,
-    draw_priority,
     generate_arrivals,
     initial_green_ages,
     run_episode,
@@ -35,19 +34,17 @@ from greenlight import (
 )
 from greenlight.errors import InvalidSpecError
 
-
-def spec12(max_queue_len=10):
-    return IntersectionSpec.standard(max_queue_len=max_queue_len)
+from helpers import spec12
 
 
 def test_sim_config_validation():
-    spec = spec12()
+    spec = spec12(10)
     with pytest.raises(InvalidSpecError):
         SimConfig(spec=spec, intensity=1.5)
 
 
 def test_seed_zero_intensity_is_empty():
-    cfg = SimConfig(spec=spec12(), intensity=0.0)
+    cfg = SimConfig(spec=spec12(10), intensity=0.0)
     assert seed_initial_queues(cfg).is_empty()
 
 
@@ -64,11 +61,6 @@ def test_seed_partial_intensity_rounds_up():
     assert seed_initial_queues(cfg).queue_lengths() == (3,) * 12
 
 
-def test_seed_same_seed_same_snapshot():
-    cfg = SimConfig(spec=spec12(), intensity=0.7, seed=11)
-    assert seed_initial_queues(cfg) == seed_initial_queues(cfg)
-
-
 def test_seed_priorities_follow_class_mix():
     # 12 paths times 50 slots = 600 draws; the 90 percent class must
     # dominate and nothing outside the class list may appear
@@ -83,11 +75,11 @@ def test_seed_priorities_follow_class_mix():
 
 
 def reference_seed_queues(cfg, rng):
-    """One scalar draw_priority call per vehicle, paths ascending, front to back."""
+    """One scalar priority draw per vehicle, paths ascending, front to back."""
     fill = cfg.spec.fill_count(cfg.intensity)
     return tuple(
         tuple(
-            VehicleRecord(draw_priority(rng, simulator.PRIORITY_CLASSES), 0)
+            VehicleRecord(simulator._priority_of(rng.random(), simulator.PRIORITY_CLASSES), 0)
             for _ in range(fill)
         )
         for _ in range(cfg.spec.num_paths)
@@ -96,14 +88,17 @@ def reference_seed_queues(cfg, rng):
 
 def test_seed_vector_draw_matches_scalar_reference():
     # same records in the same order, and the stream left at the same
-    # point, so the episode's next draw is unchanged too
-    for spec in (spec12(), IntersectionSpec.standard(3, max_queue_len=7)):
+    # point, so the episode's next draw is unchanged too; without an rng
+    # the seed alone fixes the snapshot
+    for spec in (spec12(10), IntersectionSpec.standard(3, max_queue_len=7)):
         for intensity in (0.0, 0.1, 0.5, 1.0):
             for seed in range(4):
                 cfg = SimConfig(spec=spec, intensity=intensity, seed=seed)
                 ours = np.random.Generator(np.random.PCG64(seed))
                 ref = np.random.Generator(np.random.PCG64(seed))
-                assert seed_initial_queues(cfg, ours).queues == reference_seed_queues(cfg, ref)
+                expected = reference_seed_queues(cfg, ref)
+                assert seed_initial_queues(cfg, ours).queues == expected
+                assert seed_initial_queues(cfg).queues == expected
                 assert ours.random() == ref.random()
 
 
@@ -136,7 +131,7 @@ def test_priority_of_inverse_cdf(classes):
 
 def test_arrivals_probability_zero_never_arrive():
     cfg = SimConfig(
-        spec=spec12(), intensity=0.0, mode=SimMode.STEADY, episode_ticks=50
+        spec=spec12(10), intensity=0.0, mode=SimMode.STEADY, episode_ticks=50
     )
     rng = np.random.Generator(np.random.PCG64(0))
     for tick in range(50):
@@ -171,7 +166,7 @@ def test_arrival_frequency_matches_bernoulli_rate():
 
 
 def test_drain_zero_intensity_ends_immediately():
-    cfg = SimConfig(spec=spec12(), intensity=0.0)
+    cfg = SimConfig(spec=spec12(10), intensity=0.0)
     stats, log = run_episode(cfg, PolicyKind.F2)
     assert stats == EpisodeStats(
         mean_wait=0.0,
@@ -205,7 +200,7 @@ def test_f2_first_block_vehicle_waits_one_tick():
 
 
 def test_same_seed_reproduces_episode_exactly():
-    cfg = SimConfig(spec=spec12(), intensity=0.6, seed=17)
+    cfg = SimConfig(spec=spec12(10), intensity=0.6, seed=17)
     a_stats, a_log = run_episode(cfg, PolicyKind.HORIZON)
     b_stats, b_log = run_episode(cfg, PolicyKind.HORIZON)
     assert a_stats == b_stats
@@ -266,7 +261,7 @@ def test_steady_accounting_against_replayed_stream():
 
 
 def test_wait_log_is_internally_consistent():
-    cfg = SimConfig(spec=spec12(), intensity=0.5, seed=4)
+    cfg = SimConfig(spec=spec12(10), intensity=0.5, seed=4)
     stats, log = run_episode(cfg, PolicyKind.F1)
     for e in log:
         assert e.wait_ticks == e.exit_tick - e.enter_tick
@@ -277,7 +272,7 @@ def test_wait_log_is_internally_consistent():
 
 
 def test_stats_agree_with_second_pass_over_log():
-    cfg = SimConfig(spec=spec12(), intensity=0.75, seed=21)
+    cfg = SimConfig(spec=spec12(10), intensity=0.75, seed=21)
     solver_cfg = SolverConfig(dynamics=DynamicsConfig(tick_seconds=2.5))
     stats, log = run_episode(cfg, PolicyKind.F2, solver_cfg)
     waits = [e.wait_ticks for e in log]
@@ -353,7 +348,7 @@ def test_buffered_uniforms_match_the_scalar_stream():
 
 
 def test_arrivals_from_the_reader_equal_arrivals_from_a_generator():
-    cfg = SimConfig(spec=spec12(), intensity=1.0, seed=5, mode=SimMode.STEADY)
+    cfg = SimConfig(spec=spec12(10), intensity=1.0, seed=5, mode=SimMode.STEADY)
     reader = simulator._BufferedUniforms(np.random.Generator(np.random.PCG64(cfg.seed)))
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     # about 12 * 1.3 draws a tick, so 700 ticks cross two refills
@@ -377,11 +372,11 @@ def episode_stream_use(monkeypatch, cfg):
 
 
 def test_drain_episode_draws_no_uniforms_after_seeding(monkeypatch):
-    drain = SimConfig(spec=spec12(), intensity=0.5, seed=3)
+    drain = SimConfig(spec=spec12(10), intensity=0.5, seed=3)
     seeded, final = episode_stream_use(monkeypatch, drain)
     assert final == seeded
     # the same spy sees a steady episode draw its arrivals
-    steady = SimConfig(spec=spec12(), intensity=0.5, seed=3, mode=SimMode.STEADY, episode_ticks=5)
+    steady = SimConfig(spec=spec12(10), intensity=0.5, seed=3, mode=SimMode.STEADY, episode_ticks=5)
     seeded, final = episode_stream_use(monkeypatch, steady)
     assert final != seeded
 
@@ -453,7 +448,7 @@ def test_run_episode_equals_the_step_reference_loop(policy, mode):
     # short queues at full load make steady episodes reject arrivals and
     # a tight wmax makes the guard and the starvation count take part
     cases = [
-        (SimConfig(spec=spec12(), intensity=0.5, seed=s, mode=mode, episode_ticks=150), None)
+        (SimConfig(spec=spec12(10), intensity=0.5, seed=s, mode=mode, episode_ticks=150), None)
         for s in (0, 1, 2)
     ]
     full = SimConfig(
@@ -473,7 +468,7 @@ def test_run_episode_equals_the_step_reference_loop(policy, mode):
 def test_horizon_decisions_see_the_phase_stepped_on_the_previous_tick(monkeypatch, mode):
     # decide_horizon_opt reads st.prev_phase: all red at tick 0, then the
     # phase `step` applied on the tick before the decision
-    spec = spec12()
+    spec = spec12(10)
     stepped, seen = [], []
     real_step, real_decide = simulator.step, simulator.decide_horizon_opt
 

@@ -35,14 +35,7 @@ import greenlight.solver as solver
 from greenlight.model import _bits, _set_bits
 from greenlight.solver import _base_phases, _clique_terms, _phases_opening, _tables
 
-from conflict_strategies import symmetric_matrix_strategy
-
-
-def snapshot_with(spec, path_queues, tick=0):
-    queues = [()] * spec.num_paths
-    for path, vehicles in path_queues.items():
-        queues[path] = tuple(VehicleRecord(p, w) for p, w in vehicles)
-    return TrafficSnapshot(tick, tuple(queues))
+from helpers import snapshot_with, symmetric_matrix_strategy
 
 
 def zero_conflict_spec(paths=3, max_queue_len=3):
@@ -237,16 +230,19 @@ def test_oracle_empty_snapshot_costs_nothing():
     assert orc.cost == 0
 
 
-def test_oracle_refuses_oversized_search():
+def test_oracle_refuses_oversized_search(monkeypatch):
+    # the cap is read when the oracle is called
     spec = IntersectionSpec.standard(max_queue_len=4)
     cfg = SolverConfig(horizon=3)
-    with pytest.raises(OracleTooLargeError):
-        exhaustive_oracle(spec, spec.empty_snapshot(), spec.all_closed(), cfg, cap=100)
+    monkeypatch.setattr(solver, "DEFAULT_ORACLE_CAP", 100)
+    with pytest.raises(OracleTooLargeError, match="cap of 100"):
+        exhaustive_oracle(spec, spec.empty_snapshot(), spec.all_closed(), cfg)
     # the guard narrows the root to 3 phases (3^3 = 27), but it lifts once
     # the overdue vehicle leaves, so 3 x 12 x 12 = 432 leaves lie below it
     guarded = snapshot_with(spec, {1: [(1, 70), (1, 0)]})
+    monkeypatch.setattr(solver, "DEFAULT_ORACLE_CAP", 27)
     with pytest.raises(OracleTooLargeError):
-        exhaustive_oracle(spec, guarded, spec.all_closed(), cfg, cap=27)
+        exhaustive_oracle(spec, guarded, spec.all_closed(), cfg)
 
 
 def assert_search_equals_oracle(sol, orc, horizon):
