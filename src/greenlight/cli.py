@@ -12,6 +12,7 @@ import argparse
 import errno
 import json
 import os
+import stat
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -147,17 +148,27 @@ def _solver_from(args: argparse.Namespace) -> SolverConfig:
 
 
 def _check_out_dir(out: str | None) -> None:
-    """Fail before any search or episode runs if `out` names a directory
-    or its parent is not an existing directory, in the `<path>: <reason>`
-    form of a failed write. Creates and truncates nothing."""
+    """Fail before any search or episode runs if `out` names a directory,
+    its parent is not an existing directory, or the OS refuses the path
+    (a name too long, say), in the `<path>: <reason>` form of a failed
+    write. It calls `os.stat` itself: which errors pathlib's `is_dir`
+    swallows differs between Python versions. Creates and truncates
+    nothing."""
     if out is None:
         return
     p = Path(out)
-    if p.is_dir():
+    try:
+        try:
+            is_dir = stat.S_ISDIR(os.stat(p).st_mode)
+        except FileNotFoundError:
+            # nothing there yet; a parent that is a file fails the stat
+            # above with ENOTDIR, so one that exists is a directory
+            os.stat(p.parent)
+            is_dir = False
+    except OSError as exc:
+        raise FileFormatError(f"{p}: {exc.strerror or exc}") from exc
+    if is_dir:
         raise FileFormatError(f"{p}: {os.strerror(errno.EISDIR)}")
-    if not p.parent.is_dir():
-        code = errno.ENOTDIR if p.parent.exists() else errno.ENOENT
-        raise FileFormatError(f"{p}: {os.strerror(code)}")
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:

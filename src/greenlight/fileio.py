@@ -39,17 +39,24 @@ _SIDE_TOKENS = tuple(s.value for s in DrivingSide)
 
 
 def _load_json(path: str | Path):
+    """The parsed document; a file that cannot be read, is not UTF-8, is
+    not JSON or nests past the recursion limit raises FileFormatError in
+    the `<path>: <reason>` form of a failed write."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"{p}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{p}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"{p}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{p}: JSON nested too deeply") from exc
 
 
 def _write_text(path: str | Path, text: str) -> None:

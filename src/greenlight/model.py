@@ -138,10 +138,13 @@ def _slot(arm: int, entry: bool, side: DrivingSide) -> int:
 
 
 def _strictly_cross(a: int, b: int, c: int, d: int, n: int) -> bool:
-    # Chords {a,b} and {c,d} on an n-point circle, all endpoints distinct:
-    # they cross iff exactly one of c, d lies on the open arc a -> b.
+    # Chords {a,b} and {c,d} on an n-point circle. Precondition: the four
+    # endpoints are distinct, as in build_conflict_matrix, where the paths
+    # differ in entry arm and in exit arm and an entry slot never equals an
+    # exit slot (they differ in parity, see _slot). The chords then cross
+    # iff exactly one of c, d lies on the arc a -> b; neither is a.
     def inside(x: int) -> bool:
-        return (x - a) % n < (b - a) % n and x != a
+        return (x - a) % n < (b - a) % n
 
     return inside(c) != inside(d)
 
@@ -315,18 +318,19 @@ def build_conflict_matrix(
                 _slot(b.entry_arm, True, side),
                 _slot(exits[j], False, side),
             )
-            if len(set(pts)) < 4:
-                continue  # touching chords do not strictly cross
             data[i, j] = data[j, i] = _strictly_cross(*pts, circle)
     return ConflictMatrix(data)
 
 
+def _check_phase_width(phase: Phase, paths: int) -> None:
+    """The one width rule for a phase applied to a junction of `paths` paths."""
+    if phase.width != paths:
+        raise DimensionError(f"phase width {phase.width} != matrix size {paths}")
+
+
 def is_feasible_phase(phase: Phase, conflicts: ConflictMatrix) -> bool:
     """True when no two open paths conflict; accepted masks are remembered on the matrix."""
-    if phase.width != conflicts.paths:
-        raise DimensionError(
-            f"phase width {phase.width} != matrix size {conflicts.paths}"
-        )
+    _check_phase_width(phase, conflicts.paths)
     mask = phase.mask
     if mask in conflicts._proven_feasible:
         return True

@@ -154,7 +154,9 @@ def generate_arrivals(
     trial (probability intensity * ARRIVAL_RATE_SCALE) and, on arrival,
     one more for the priority, keeping the stream layout fixed. `rng`
     may be a plain Generator or `run_episode`'s buffered reader of the
-    same stream; both give the same arrivals.
+    same stream; both give the same arrivals. `tick` is not read: the
+    draws depend on the stream position alone. It stays in the signature
+    because callers, the benchmark's steady workload among them, pass it.
     """
     p = cfg.intensity * ARRIVAL_RATE_SCALE
     u = rng.random

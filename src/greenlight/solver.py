@@ -112,12 +112,13 @@ from functools import lru_cache
 from math import inf
 
 from .dynamics import DynamicsConfig, rollout_cost
-from .errors import DimensionError, InvalidSpecError, OracleTooLargeError
+from .errors import InvalidSpecError, OracleTooLargeError
 from .model import (
     IntersectionSpec,
     Phase,
     TrafficSnapshot,
     _bits,
+    _check_phase_width,
     _set_bits,
 )
 
@@ -379,8 +380,7 @@ def optimize_schedule(
     """
     t0 = time.perf_counter()
     spec.validate_snapshot(s)
-    if prev_phase.width != spec.num_paths:
-        raise DimensionError(f"phase width {prev_phase.width} != matrix size {spec.num_paths}")
+    _check_phase_width(prev_phase, spec.num_paths)
     dyn = cfg.dynamics
     big_d = dyn.phase_ticks
     k = cfg.horizon
