@@ -182,6 +182,18 @@ def test_validate_ok_lists_conflict_pairs(capsys):
     assert listed == list(spec.conflicts.pairs())
 
 
+def test_validate_asymmetric_matrix_exits_2(capsys, tmp_path):
+    doc = json.loads(Path(INSTANCE).read_text())
+    matrix = [[0] * 12 for _ in range(12)]
+    matrix[0][1] = 1
+    doc["conflict_matrix"] = matrix
+    bad = tmp_path / "asym.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "validate", "--instance", str(bad))
+    assert code == 2
+    assert "asymmetric at (0,1)" in out.splitlines()
+
+
 def test_validate_reports_every_problem_on_its_own_line(capsys, tmp_path):
     doc = {
         "arms": 4,

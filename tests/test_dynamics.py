@@ -22,7 +22,11 @@ from greenlight import (
     step,
 )
 from greenlight.dynamics import _record
-from greenlight.errors import ConstraintViolationError
+from greenlight.errors import (
+    ConstraintViolationError,
+    DimensionError,
+    InvalidSpecError,
+)
 
 from helpers import snapshot_with, spec12
 
@@ -32,6 +36,27 @@ def test_config_defaults():
     assert cfg.phase_ticks == 4
     assert cfg.slow_start == 1
     assert cfg.tick_seconds == 5.0
+
+
+def test_config_rejects_slow_start_not_below_phase_ticks():
+    # a held phase must get at least one serving tick
+    with pytest.raises(InvalidSpecError):
+        DynamicsConfig(phase_ticks=1, slow_start=1)
+    with pytest.raises(InvalidSpecError):
+        DynamicsConfig(phase_ticks=4, slow_start=4)
+
+
+def test_config_rejects_nonpositive_phase_ticks():
+    with pytest.raises(InvalidSpecError):
+        DynamicsConfig(phase_ticks=0, slow_start=0)
+
+
+@pytest.mark.parametrize("seconds", [0.0, -5.0, float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_tick_seconds_not_finite_and_positive(seconds):
+    # nan compares false with 0 and inf is positive: neither may reach
+    # mean_wait_seconds
+    with pytest.raises(InvalidSpecError, match="tick_seconds"):
+        DynamicsConfig(tick_seconds=seconds)
 
 
 def test_step_closed_path_only_ages():
@@ -81,6 +106,19 @@ def test_step_departure_is_fifo_one_per_tick():
     assert out.tick_cost == 6
 
 
+def test_step_rejects_infeasible_phase():
+    # paths 1 and 4 conflict in the default geometry
+    spec = spec12()
+    with pytest.raises(ConstraintViolationError):
+        step(
+            spec,
+            spec.empty_snapshot(),
+            Phase((1 << 1) | (1 << 4), 12),
+            [0] * 12,
+            DynamicsConfig(),
+        )
+
+
 def test_feasible_phase_stepped_first_does_not_admit_an_infeasible_one():
     # paths 1 and 4 each pass alone and are remembered; their union
     # conflicts and must still be refused on the same matrix
@@ -90,6 +128,19 @@ def test_feasible_phase_stepped_first_does_not_admit_an_infeasible_one():
             step(spec, spec.empty_snapshot(), Phase(mask, 12), [0] * 12, DynamicsConfig())
     with pytest.raises(ConstraintViolationError):
         step(spec, spec.empty_snapshot(), Phase((1 << 1) | (1 << 4), 12), [0] * 12, DynamicsConfig())
+
+
+def test_step_rejects_an_oversize_queue_by_index():
+    spec = spec12()
+    s = snapshot_with(spec, {7: [(1, 0)] * 7})
+    with pytest.raises(DimensionError, match=r"queue 7 holds 7 vehicles, limit 6"):
+        step(spec, s, spec.all_closed(), [0] * 12, DynamicsConfig())
+
+
+def test_step_rejects_wrong_age_vector_length():
+    spec = spec12()
+    with pytest.raises(DimensionError):
+        step(spec, spec.empty_snapshot(), spec.all_closed(), [0] * 5, DynamicsConfig())
 
 
 def test_initial_green_ages_warm_open_paths():
@@ -133,6 +184,12 @@ def test_rollout_closed_path_pays_every_tick():
     total, final = rollout_cost(spec, s, (closed, closed), spec.all_closed(), cfg)
     assert total == 2
     assert [v.wait for v in final.queues[0]] == [2]
+
+
+def test_rollout_rejects_empty_schedule():
+    spec = spec12()
+    with pytest.raises(InvalidSpecError):
+        rollout_cost(spec, spec.empty_snapshot(), (), spec.all_closed(), DynamicsConfig())
 
 
 def test_rollout_green_age_resets_on_reopen():

@@ -19,6 +19,7 @@ from greenlight import (
     TrafficSnapshot,
     Turn,
     VehicleRecord,
+    build_conflict_matrix,
     decode_snapshot,
     encode_snapshot,
     enumerate_feasible_phases,
@@ -28,7 +29,13 @@ from greenlight import (
     save_instance,
     standard_movements,
 )
-from greenlight.errors import InvalidGeometryError, InvalidSpecError, TooManyPhasesError
+from greenlight.errors import (
+    DimensionError,
+    InvalidGeometryError,
+    InvalidSpecError,
+    MalformedArrayError,
+    TooManyPhasesError,
+)
 
 from helpers import symmetric_matrix_strategy
 
@@ -52,6 +59,11 @@ def test_exit_arm_right_driving_mirrors_left():
     # mirrored: left becomes (entry + A - 1), right becomes (entry + 1)
     assert exit_arm(Movement(0, Turn.LEFT), 4, DrivingSide.RIGHT) == 3
     assert exit_arm(Movement(0, Turn.RIGHT), 4, DrivingSide.RIGHT) == 1
+
+
+def test_exit_arm_rejects_degenerate_geometry():
+    with pytest.raises(InvalidGeometryError):
+        exit_arm(Movement(0, Turn.LEFT), 2)
 
 
 def test_exit_arm_differs_from_entry():
@@ -114,6 +126,31 @@ def test_conflict_matrix_symmetric_false_diagonal():
     assert not arr.diagonal().any()
 
 
+def test_duplicate_paths_rejected():
+    paths = (Movement(0, Turn.LEFT), Movement(0, Turn.LEFT))
+    with pytest.raises(InvalidSpecError):
+        build_conflict_matrix(4, paths)
+
+
+def test_conflict_matrix_rejects_nonsquare():
+    with pytest.raises(DimensionError):
+        ConflictMatrix(np.zeros((3, 4), dtype=bool))
+
+
+def test_conflict_matrix_rejects_asymmetry():
+    data = np.zeros((3, 3), dtype=bool)
+    data[0, 1] = True
+    with pytest.raises(InvalidSpecError):
+        ConflictMatrix(data)
+
+
+def test_conflict_matrix_rejects_self_conflict():
+    data = np.zeros((3, 3), dtype=bool)
+    data[1, 1] = True
+    with pytest.raises(InvalidSpecError):
+        ConflictMatrix(data)
+
+
 def test_all_closed_phase_is_feasible():
     spec = IntersectionSpec.standard()
     assert is_feasible_phase(Phase(0, 12), spec.conflicts)
@@ -129,6 +166,14 @@ def test_crossing_straights_make_infeasible_phase():
     # paths 1 and 4 are the two crossing straights from the golden pair list
     spec = IntersectionSpec.standard()
     assert not is_feasible_phase(Phase((1 << 1) | (1 << 4), 12), spec.conflicts)
+
+
+def test_is_feasible_phase_width_mismatch():
+    spec = IntersectionSpec.standard()
+    # mask 1 is remembered as feasible at width 12; width 3 is still refused
+    assert is_feasible_phase(Phase(1, 12), spec.conflicts)
+    with pytest.raises(DimensionError):
+        is_feasible_phase(Phase(1, 3), spec.conflicts)
 
 
 def test_feasibility_memo_belongs_to_its_matrix():
@@ -370,6 +415,36 @@ def test_encode_empty_queue_is_zero_rows():
     assert not arr.any()
 
 
+def test_decode_rejects_occupied_after_empty_slot():
+    spec = small_spec()
+    arr = encode_snapshot(spec.empty_snapshot(), spec)
+    arr[0, 0, 1] = 3
+    with pytest.raises(MalformedArrayError):
+        decode_snapshot(arr, spec)
+
+
+def test_decode_rejects_wait_on_empty_slot():
+    spec = small_spec()
+    arr = encode_snapshot(spec.empty_snapshot(), spec)
+    arr[0, 1, 0] = 5
+    with pytest.raises(MalformedArrayError):
+        decode_snapshot(arr, spec)
+
+
+def test_decode_rejects_negative_entries():
+    spec = small_spec()
+    arr = encode_snapshot(spec.empty_snapshot(), spec)
+    arr[0, 0, 0] = -1
+    with pytest.raises(MalformedArrayError):
+        decode_snapshot(arr, spec)
+
+
+def test_decode_rejects_wrong_shape():
+    spec = small_spec()
+    with pytest.raises(DimensionError):
+        decode_snapshot(np.zeros((12, 3, 4), dtype=np.int64), spec)
+
+
 def snapshot_strategy(spec):
     vehicle = st.builds(
         VehicleRecord,
@@ -390,6 +465,27 @@ def test_property_encode_decode_roundtrip(s):
     # the array form carries no clock, so the tick rides alongside
     spec = small_spec()
     assert decode_snapshot(encode_snapshot(s, spec), spec, tick=s.tick) == s
+
+
+def test_spec_rejects_overlong_queue():
+    spec = small_spec()
+    queues = [()] * 12
+    queues[3] = tuple(VehicleRecord(1, 0) for _ in range(5))
+    queues[9] = tuple(VehicleRecord(1, 0) for _ in range(6))
+    with pytest.raises(DimensionError, match=r"queue 3 holds 5 vehicles, limit 4"):
+        spec.validate_snapshot(TrafficSnapshot(0, tuple(queues)))
+
+
+def test_spec_rejects_zero_capacity():
+    with pytest.raises(InvalidSpecError):
+        IntersectionSpec.standard(max_queue_len=0)
+
+
+def test_vehicle_record_rejects_bad_fields():
+    with pytest.raises(InvalidSpecError):
+        VehicleRecord(0, 0)
+    with pytest.raises(InvalidSpecError):
+        VehicleRecord(1, -1)
 
 
 def test_fill_count_rounds_up():

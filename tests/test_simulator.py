@@ -32,8 +32,15 @@ from greenlight import (
     standard_movements,
     step,
 )
+from greenlight.errors import InvalidSpecError
 
 from helpers import spec12
+
+
+def test_sim_config_validation():
+    spec = spec12(10)
+    with pytest.raises(InvalidSpecError):
+        SimConfig(spec=spec, intensity=1.5)
 
 
 def test_seed_zero_intensity_is_empty():

@@ -19,6 +19,7 @@ from greenlight import (
     candidate_phases,
     enumerate_feasible_phases,
     exhaustive_oracle,
+    initial_green_ages,
     load_instance,
     lower_bound,
     optimize_schedule,
@@ -28,7 +29,7 @@ from greenlight import (
     standard_movements,
 )
 from greenlight.cli import main as cli_main
-from greenlight.errors import OracleTooLargeError, TooManyPhasesError
+from greenlight.errors import DimensionError, InvalidSpecError, OracleTooLargeError, TooManyPhasesError
 import greenlight.model as model
 import greenlight.solver as solver
 from greenlight.model import _bits, _set_bits
@@ -61,6 +62,14 @@ def test_solver_config_defaults():
     assert cfg.horizon == 3
     assert cfg.maximal_only is True
     assert cfg.wmax == 60
+
+
+def test_solver_config_rejects_bad_values():
+    with pytest.raises(InvalidSpecError):
+        SolverConfig(horizon=0)
+    # the guard threshold must exceed one full slow-started block
+    with pytest.raises(InvalidSpecError):
+        SolverConfig(wmax=4, dynamics=DynamicsConfig(phase_ticks=4, slow_start=1))
 
 
 def test_candidates_without_guard_or_restriction():
@@ -624,6 +633,21 @@ def test_prefixing_previous_best_is_admissible():
             spec, s, short.schedule + (extension,), spec.all_closed(), dyn
         )
         assert full.cost <= extended
+
+
+@pytest.mark.parametrize("prev", [Phase(0b111, 3), Phase(1, 20)])
+def test_prev_phase_of_the_wrong_width_is_rejected(prev):
+    spec = IntersectionSpec.standard(max_queue_len=4)
+    s = snapshot_with(spec, {0: [(1, 0)]})
+    cfg = SolverConfig(horizon=1)
+    for call in (
+        lambda: optimize_schedule(spec, s, prev, cfg),
+        lambda: exhaustive_oracle(spec, s, prev, cfg),
+        lambda: rollout_cost(spec, s, (spec.all_closed(),), prev, cfg.dynamics),
+        lambda: initial_green_ages(spec, prev, cfg.dynamics),
+    ):
+        with pytest.raises(DimensionError, match=f"phase width {prev.width} != matrix size 12"):
+            call()
 
 
 def test_solution_reports_elapsed_time():
