@@ -112,11 +112,15 @@ def _policy_list(text: str) -> tuple[PolicyKind, ...]:
     return tuple(out)
 
 
-def _add_dynamics_flags(p: argparse.ArgumentParser) -> None:
+def _add_dynamics_flags(p: argparse.ArgumentParser, seconds: bool = True) -> None:
+    """The timing flags; only commands that report seconds take --tick-seconds."""
     dyn = DynamicsConfig()
     p.add_argument("--phase-ticks", type=int, default=dyn.phase_ticks, help="ticks each phase is held")
     p.add_argument("--slow-start", type=int, default=dyn.slow_start, help="departure-free ticks after a path turns green")
-    p.add_argument("--tick-seconds", type=float, default=dyn.tick_seconds, help="seconds per tick, reporting only")
+    if seconds:
+        p.add_argument("--tick-seconds", type=float, default=dyn.tick_seconds, help="seconds per tick, reporting only")
+    else:
+        p.set_defaults(tick_seconds=dyn.tick_seconds)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -299,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="plan a k-phase schedule for one snapshot")
     p_opt.add_argument("--instance", required=True, help="junction JSON file")
     p_opt.add_argument("--snapshot", required=True, help="queue snapshot JSON file")
-    _add_dynamics_flags(p_opt)
+    _add_dynamics_flags(p_opt, seconds=False)
     _add_solver_flags(p_opt)
     p_opt.add_argument("--out", help="write a JSON report here")
     p_opt.set_defaults(fn=cmd_optimize)

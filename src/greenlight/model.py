@@ -4,15 +4,15 @@ An intersection has A arms labelled clockwise. Every path is a movement
 (entry arm, turn) and owns one FIFO vehicle queue of bounded length L.
 Two paths conflict when their trajectories cross inside the junction;
 a phase (bit vector over paths) is feasible when no two open paths
-conflict. Neither phase list scans the 2^P subsets: the maximal phases
-are the maximal cliques of the compatibility graph, and all feasible
-phases come from a recursion over independent sets whose work grows
-with the number found, capped at MAX_FEASIBLE_PHASES. Both lists are
-cached on the ConflictMatrix. One bounded index from a mask to its set
-bits (`_set_bits`) serves `Phase.open_paths`, `is_feasible_phase` and
-the solver. Queue state round-trips through a (P, 2, L) integer array:
-plane 0 holds priorities front to back, plane 1 the waiting times, and
-unused slots are zero in both planes.
+conflict. A ConflictMatrix stores the conflict graph once, as one
+neighbour bit mask per path. Neither phase list scans the 2^P subsets:
+the maximal phases are the maximal cliques of the compatibility graph,
+and all feasible phases come from a recursion over independent sets
+whose work grows with the number found, capped at MAX_FEASIBLE_PHASES.
+Both lists are cached on the ConflictMatrix. `_set_bits` indexes the
+set bits of a mask for every module. Queue state round-trips through a
+(P, 2, L) integer array: plane 0 holds priorities front to back, plane
+1 the waiting times, and unused slots are zero in both planes.
 """
 
 from __future__ import annotations
@@ -93,8 +93,11 @@ _bits: dict[int, tuple[int, ...]] = {}
 def _set_bits(m: int) -> tuple[int, ...]:
     """Indices of the set bits of mask m, ascending, stored in `_bits`.
 
-    The answer depends on m alone, so one index serves every call,
-    junction and queue. It is cleared once it holds `_BITS_MAXSIZE`
+    `Phase.open_paths`, `is_feasible_phase` and the solver's search read
+    `_bits` first and call this on a miss. The answer depends on m
+    alone, not on the call, junction or queue, so one index serves them
+    all; keys are ints and values tuples, so no caller can change what
+    another reads. It is cleared once it holds `_BITS_MAXSIZE` = 65,536
     entries (about 190 B each by tracemalloc, so about 12 MB at most).
     """
     if len(_bits) >= _BITS_MAXSIZE:
@@ -152,11 +155,11 @@ def _strictly_cross(a: int, b: int, c: int, d: int, n: int) -> bool:
 class ConflictMatrix:
     """Symmetric boolean P x P matrix of pairwise path conflicts.
 
-    Instances are immutable values; derived structures (per-path conflict
-    bit masks, the maximal-phase list and its open paths, the all-feasible
-    list and its parent links, the clique cover) are computed lazily, at
-    most once per matrix, and cached, as are the masks
-    `is_feasible_phase` has accepted.
+    Instances are immutable values that store one neighbour bit mask per
+    path, which every accessor reads. Derived structures (the maximal-phase
+    list and its open paths, the all-feasible list and its parent links,
+    the clique cover) are computed lazily, at most once per matrix, and
+    cached, as are the masks `is_feasible_phase` has accepted.
     """
 
     def __init__(self, data: np.ndarray):
@@ -169,9 +172,9 @@ class ConflictMatrix:
             raise InvalidSpecError("a path cannot conflict with itself")
         if not np.array_equal(data, data.T):
             raise InvalidSpecError("conflict matrix must be symmetric")
-        self._data = data
-        self._data.setflags(write=False)
-        self._neighbor_masks: tuple[int, ...] | None = None
+        self._neighbors = tuple(
+            sum(1 << j for j in np.flatnonzero(row).tolist()) for row in data
+        )
         self._maximal: tuple[Phase, ...] | None = None
         self._maximal_paths: tuple[tuple[int, ...], ...] | None = None
         self._feasible: tuple[Phase, ...] | None = None
@@ -181,30 +184,24 @@ class ConflictMatrix:
 
     @property
     def paths(self) -> int:
-        return self._data.shape[0]
+        return len(self._neighbors)
 
     def conflicts(self, i: int, j: int) -> bool:
-        return bool(self._data[i, j])
+        return bool(self._neighbors[i] >> j & 1)
 
     def as_array(self) -> np.ndarray:
-        return self._data
+        """A fresh P x P boolean array of the conflicts."""
+        p = self.paths
+        return np.array([[m >> j & 1 for j in range(p)] for m in self._neighbors], dtype=bool)
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        """All conflicting pairs (i, j) with i < j."""
-        rows, cols = np.nonzero(np.triu(self._data))
-        return tuple(zip(rows.tolist(), cols.tolist()))
+        """All conflicting pairs (i, j) with i < j, in row-major order."""
+        p = self.paths
+        return tuple((i, j) for i in range(p) for j in range(i + 1, p) if self.conflicts(i, j))
 
     def neighbor_masks(self) -> tuple[int, ...]:
         """For each path, the bit mask of paths it conflicts with."""
-        if self._neighbor_masks is None:
-            masks = []
-            for i in range(self.paths):
-                m = 0
-                for j in np.nonzero(self._data[i])[0].tolist():
-                    m |= 1 << j
-                masks.append(m)
-            self._neighbor_masks = tuple(masks)
-        return self._neighbor_masks
+        return self._neighbors
 
     def maximal_phases(self) -> tuple[Phase, ...]:
         """Phases no path can be added to, in ascending mask order."""
@@ -267,9 +264,7 @@ class ConflictMatrix:
         return self._links
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ConflictMatrix) and np.array_equal(
-            self._data, other._data
-        )
+        return isinstance(other, ConflictMatrix) and self._neighbors == other._neighbors
 
     def __repr__(self) -> str:
         return f"ConflictMatrix(paths={self.paths}, pairs={len(self.pairs())})"

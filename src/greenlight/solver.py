@@ -7,95 +7,22 @@ first minimum-cost leaf reached in that order is the lexicographically
 smallest one, the returned schedule is deterministic and matches the
 oracle's tie-break exactly.
 
-For k > 1 the incumbent is seeded before the search by one greedy dive
-(the primal heuristic of branch and bound, Land & Doig 1960): from the
-root it follows, at each depth, the first candidate of least accrued
-cost plus bound, down to one leaf of exact cost c. The search then
-starts from best_cost = c + 1 with no incumbent schedule. Costs are
-integers, so the usual `total >= best_cost` prune discards only totals
-above c until the search reaches its own first leaf; every leaf of cost
-at most c, the optimum included, is still reached in ascending mask
-order, and ties keep the oracle's lexicographic winner with no flag for
-a heuristic incumbent. The dive's own path is never pruned, since its
-totals never exceed c.
-
 Since slow_start < phase_ticks, a path entering a block is either warm
 (open in the previous phase, so it can release a vehicle on the first
 tick) or cold (it waits slow_start ticks first); its exact green age
 does not matter. Per path the search therefore reads tables indexed by
-departed count: the block cost while closed, the cost and new departed
-count when opened warm or cold, and one bound row per depth. A node
-sums the closed-path costs and bounds once, and each candidate adjusts
-only its own open paths by table lookups.
+departed count (`_tables`, memoised across calls): the block cost while
+closed, the cost and new departed count when opened warm or cold, and
+one bound row per depth. A node sums the closed-path costs and bounds
+once, and each candidate adjusts only its own open paths by table
+lookups.
 
-The tables depend only on the queue's priorities, phase_ticks,
-slow_start and k, and the search only reads them, so they are memoised
-across calls, decisions and episodes: a bounded `functools.lru_cache`
-of 1,024 entries keyed on exactly those four values. An entry's size
-scales with k x (queue length + 1); at the default sizes (k = 3, queues
-of up to 21 vehicles) the memo holds about 5 MB at most. Sharing is safe
-because the tables are nested tuples, which no caller can change. On
-the C3 drain grid about 93% of lookups hit the memo.
-
-The index from a mask to the indices of its set bits (the paths it
-opens) is shared the same way: `_bits`, a plain dict at module level in
-`model.py`, filled on first use by `model._set_bits` and cleared once
-it holds `_BITS_MAXSIZE` = 65,536 entries, about 12 MB at most.
-`Phase.open_paths()` and `is_feasible_phase` read the same index. A
-mask's set bits depend on the mask alone, not on the call, junction or
-queue, so one index serves every call; keys are plain ints and values
-are tuples, so no caller can change what another reads.
-
-All-feasible candidates are scored from their parents. The list of
-`ConflictMatrix.feasible_phases()` is downward closed and ascending, so a
-phase without its lowest open path is another phase earlier in the list,
-or the empty set (`ConflictMatrix.feasible_links`, the parent link of
-reverse search, Avis & Fukuda 1996). A candidate's score at a node, the
-sum of its open paths' changes, is then its parent's score plus one
-change, read from the node's table as branch and bound scores a child
-from its node (Land & Doig 1960); a path with nothing queued changes
-nothing. On the unfiltered all-feasible list a node therefore runs one
-fused loop of one table read per candidate, and keeps the candidates
-under the incumbent; at a leaf, and in the dive, each kept one tightens
-the limit, as it would become the incumbent. Only the kept ones reach
-the per-candidate loop that every list shares, which reads their open
-paths from `_bits`, tests them again against the incumbent of the
-moment, and holds the leaf update, the clique re-test, the child state
-and the recursion. The scores are the same integers in the same order,
-so schedules, costs, the tie-break and node counts do not change. The
-maximal list keeps the per-path sums, since no maximal phase contains
-another and none has a parent in it. Guard-filtered lists keep them
-too: a phase whose lowest path is the guard's target has its parent
-outside the list.
-
-The bound is slow-start aware. Over the R ticks after a block, the j-th
-vehicle still queued on a path pays at least min(j, R) if the block
-left the path open, and min(j + slow_start, R) if it left it closed,
-because a closed path must turn green again before anyone leaves. The
-bound is admissible and never below `dynamics.lower_bound`.
-
-That per-path bound prices each path as if it alone held every remaining
-block. At depth k - 2, where one block remains after the candidate's,
-the search tightens it with a cover of the conflict graph by disjoint
-cliques (`ConflictMatrix.clique_cover`). A feasible phase opens at most
-one path of a clique, the colour-class argument of Tomita & Seki's MCQ
-(2003), so a clique's last block costs at least its members' closed
-costs plus the largest single saving among them, not the sum of their
-savings. The rise is admissible whenever every phase the search may try
-is feasible: for maximal and all-feasible candidates alike, and under
-the guard, which only removes candidates. A feasible candidate also
-opens at most one member of each clique, so a node's rise is one
-constant plus one adjustment per opened path (`_clique_terms`), built
-from the same table rows the node already reads.
-
-The clique bound is applied lazily. It only re-tests candidates that
-pass the per-path test, and a node builds its terms when its first
-candidate passes; most candidates at depth k - 2 fail that test anyway.
-Tightening every candidate of such a node on entry cost more than the
-nodes it saved. The greedy dive keeps the per-path bound, and k = 1
-never reads the cover. Schedules and costs are unchanged, since the
-bound stays admissible; only nodes fall. On the 50 C8 snapshots at k = 3
-they fall from 32,712 to 10,476.
+Three further cuts leave schedules, costs and the tie-break unchanged,
+and each is explained beside its code: a greedy dive that seeds the
+incumbent and the scoring of all-feasible candidates from their parent
+phases (`optimize_schedule`), and a clique bound on the last block
+(`_clique_terms`). A mask's open paths come from the shared index of
+`model._set_bits`.
 
 The oracle instead chains one-block `dynamics.rollout_cost` calls, each
 from the state and phase the previous block left. A path open in the
@@ -244,6 +171,12 @@ def _tables(priorities: tuple[int, ...], big_d: int, small_s: int, k: int):
     cold_bound[depth][d]. Rows are filled only at the departed counts
     reachable at their depth; the search never reads the other entries.
 
+    The bound is slow-start aware. Over the R ticks after a block, the
+    j-th vehicle still queued pays at least min(j, R) if the block left
+    the path open, and min(j + slow_start, R) if it left it closed,
+    because a closed path must turn green again before anyone leaves. It
+    is admissible and never below `dynamics.lower_bound`.
+
     The tables are a pure function of the key (queue priorities front to
     back, phase_ticks, slow_start, k), so one build is shared by every
     path, decision and episode with that key. Everything returned is a
@@ -252,6 +185,7 @@ def _tables(priorities: tuple[int, ...], big_d: int, small_s: int, k: int):
     At the default sizes (k = 3, queues of up to 21 vehicles) an entry is
     about 4.5 KB (tracemalloc), so the memo holds about 5 MB at most there;
     a larger horizon or longer queues keep a proportionally larger memo.
+    On the C3 drain grid about 93% of lookups hit the memo.
     """
     n = len(priorities)
     # ps[x] = sum of the first x priorities; iw[x] = sum of
@@ -305,14 +239,20 @@ def _clique_terms(cliques, live, d, opening, cold_last, warm_last):
     After a candidate block, the per-path bound prices the last block as
     closed[e] + s for every queued path, where s <= 0 is its cost change
     if it opens there (warm if the candidate opened it, else cold), that
-    is as if every path opened. A feasible phase opens at most one member
-    of a clique, so the clique's last block costs at least the members'
-    closed costs plus the least s among them: the bound rises by
-    min(s) - sum(s). A feasible candidate opens at most one member too, so
-    the rise is `extra` when it opens none and `extra + delta[i]` when it
-    opens member i. Returns (extra, delta), delta indexed by path and 0
-    outside the cliques. Cliques with fewer than two queued members rise
-    by 0 and are skipped.
+    is as if every path alone held the block. `cliques` is the junction's
+    cover by disjoint cliques (`ConflictMatrix.clique_cover`). A feasible
+    phase opens at most one member of a clique, the colour-class argument
+    of Tomita & Seki's MCQ (2003), so the clique's last block costs at
+    least the members' closed costs plus the least s among them: the
+    bound rises by min(s) - sum(s). That holds whenever every phase the
+    search may try is feasible, so for maximal and all-feasible
+    candidates alike and under the guard, which only removes candidates;
+    the bound stays admissible. A feasible candidate opens at most one
+    member too, so the rise is `extra` when it opens none and
+    `extra + delta[i]` when it opens member i, built from the table rows
+    the node already reads. Returns (extra, delta), delta indexed by path
+    and 0 outside the cliques. Cliques with fewer than two queued members
+    rise by 0 and are skipped.
     """
     extra = 0
     delta = [0] * len(d)
@@ -352,31 +292,48 @@ def optimize_schedule(
     minimal rollout cost. Search state is incremental: per-path departed
     counts, the mask of paths still queued, and the warm set (the
     previous phase's mask, since slow_start < phase_ticks). Block costs
-    and the slow-start-aware bound come from per-path tables, memoised
-    across calls by `_tables`, so a candidate costs one lookup per open
-    queued path. The open paths of a mask come from `_bits`, the
-    shared mask index of `model.py` (bounded by `_BITS_MAXSIZE` entries;
-    safe to share because a mask's set bits depend on nothing else and
-    its entries are int keys and tuple values).
-    On the unfiltered all-feasible list a candidate instead costs one
-    lookup: its parent's score plus its lowest path's change, and only
-    those under the incumbent go on to the shared loop (see the module
-    docstring).
+    and the bound come from the per-path tables of `_tables`, so a
+    candidate costs one lookup per open queued path, and its open paths
+    come from the shared index of `model._set_bits`.
 
-    For k > 1 a greedy dive through the same `dfs` (same tables, guard
-    filter and node expansion) first reaches one leaf of cost c, and the
-    search starts from best_cost = c + 1: it prunes strictly above c, so
-    every minimal leaf and the tie-break survive (see the module
-    docstring). The dive's expansions are not counted in `nodes_explored`.
+    Greedy dive. For k > 1 the incumbent is seeded before the search,
+    the primal heuristic of branch and bound (Land & Doig 1960): the
+    same `dfs`, with the same tables, guard filter and node expansion,
+    follows at each depth the first candidate of least accrued cost plus
+    bound, down to one leaf of exact cost c. The search then starts from
+    best_cost = c + 1 with no incumbent schedule. Costs are integers, so
+    the `total >= best_cost` prune discards only totals above c until
+    the search reaches its own first leaf; every leaf of cost at most c,
+    the optimum included, is still reached in ascending mask order, and
+    ties keep the oracle's lexicographic winner with no flag for a
+    heuristic incumbent. The dive's own path is never pruned, since its
+    totals never exceed c. The dive's expansions are not counted in
+    `nodes_explored`.
 
-    At depth k - 2 a candidate that passes the per-path bound is tested
-    again against the clique bound: every feasible phase opens at most
-    one path of each clique of the junction's conflict cover, so at most
-    one member of a clique can save in the last block. That holds for
-    every candidate list and under the guard, so the bound stays
-    admissible and the result is the same. A node builds its clique
-    terms only once its first candidate passes the per-path test (see
-    the module docstring); the dive and k = 1 skip them.
+    Parent scores. On the unfiltered all-feasible list a candidate's
+    score at a node, the sum of its open paths' changes, is its parent's
+    score at that node plus the change of its lowest path (0 unless
+    queued); the parent is the phase without that path, earlier in the
+    list (`ConflictMatrix.feasible_links`). A node therefore runs one
+    fused loop of one table read per candidate and keeps those under the
+    incumbent; at a leaf, and in the dive, each kept one tightens the
+    limit, as it would become the incumbent. Only the kept ones reach
+    the per-candidate loop every list shares, which reads their open
+    paths, tests them again against the incumbent of the moment, and
+    holds the leaf update, the clique re-test, the child state and the
+    recursion. The scores are the same integers in the same order, so
+    node counts do not change either. The maximal list keeps per-path
+    sums, since no maximal phase contains another; so do guard-filtered
+    lists, where a phase whose lowest path is the guard's target has its
+    parent outside the list.
+
+    Clique bound. At depth k - 2 a candidate that passes the per-path
+    test is tested again against the last-block bound of `_clique_terms`.
+    A node builds those terms only once its first candidate passes, since
+    most candidates there fail the per-path test anyway; tightening every
+    candidate on entry cost more than the nodes it saved. The dive keeps
+    the per-path bound, and k = 1 never reads the cover. On the 50 C8
+    snapshots at k = 3 nodes fall from 32,712 to 10,476.
     """
     t0 = time.perf_counter()
     spec.validate_snapshot(s)
@@ -403,16 +360,15 @@ def optimize_schedule(
         for depth in range(k)
     ]
     oldest = max((w for q in waits for w in q), default=-1)
-    # the all-feasible list scores each candidate from its parent (see the
-    # module docstring); gains[j] holds candidate j's score at the node
-    # being scored, and gains[-1] stays 0 for the empty parent of singletons
+    # parent scores (see the docstring): gains[j] holds candidate j's score
+    # at the node being scored, and gains[-1] stays 0 for the empty parent
     links = None if cfg.maximal_only else spec.conflicts.feasible_links()
     if links is not None:
         gains = [0] * (len(base) + 1)
     guarded: dict[int, tuple[Phase, ...]] = {}
     bits = _bits
     # the clique bound prices the last block at depth k - 2 (see the
-    # module docstring); k = 1 never reaches it and never reads the cover
+    # docstring); k = 1 never reaches it and never reads the cover
     last = k - 2
     if k > 1:
         cliques = spec.conflicts.clique_cover()
@@ -460,11 +416,8 @@ def optimize_schedule(
             entry = opening[i] = rows[warm >> i & 1][i][di]
             change[i] = entry[0]
         if links is not None and cands is base:
-            # one table read per candidate: its score is its parent's plus
-            # the change of its lowest path (0 unless queued). Keep those
-            # under the incumbent. At a leaf each kept one becomes the
-            # incumbent, so tighten as the loop below will; the dive
-            # tightens from no limit, so its last kept is the first least
+            # parent scores (see the docstring); the dive tightens from no
+            # limit, so its last kept is the first least
             limit = inf if dive or best_cost is None else best_cost - accrued - closed_total
             tight = leaf or dive
             kept = []
@@ -533,8 +486,7 @@ def optimize_schedule(
     live0 = sum(1 << i for i in range(paths) if lens[i])
     if k > 1:
         dfs(0, 0, [0] * paths, prev_phase.mask, live0, True)
-        # prune strictly above the dive's cost until the search's own first
-        # leaf, so every leaf of cost <= it is still reached in mask order
+        # start one above the dive's cost (see the docstring)
         best_cost += 1
         best_schedule = None
         by_depth = [0] * k

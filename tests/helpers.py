@@ -20,8 +20,8 @@ def snapshot_with(spec, path_queues, tick=0):
     return TrafficSnapshot(tick, tuple(queues))
 
 
-def symmetric_matrix_strategy(max_paths=10):
-    """Random symmetric conflict matrices with a zero diagonal, at any density.
+def symmetric_array_strategy(max_paths=10):
+    """Random symmetric boolean arrays with a zero diagonal, at any density.
 
     Each pair conflicts with a probability drawn from [0, 1] first, so the
     empty graph (every subset feasible) and the complete graph (only
@@ -37,6 +37,11 @@ def symmetric_matrix_strategy(max_paths=10):
                               min_size=pairs, max_size=pairs))
         data = np.zeros((p, p), dtype=bool)
         data[np.triu_indices(p, 1)] = [u < density for u in draws]
-        return ConflictMatrix(data | data.T)
+        return data | data.T
 
     return build()
+
+
+def symmetric_matrix_strategy(max_paths=10):
+    """The conflict matrices of the arrays `symmetric_array_strategy` draws."""
+    return symmetric_array_strategy(max_paths).map(ConflictMatrix)

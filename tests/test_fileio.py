@@ -62,6 +62,18 @@ def test_instance_roundtrip_explicit_matrix(tmp_path):
     loaded = load_instance(path)
     assert loaded == spec
     assert loaded.conflicts == cm
+    # the matrix entries may also be booleans or whole floats; two left
+    # turns never cross, so the saved file keeps the matrix, as 0/1
+    lenient = {"arms": 4, "paths": [{"entry": 0, "turn": "L"}, {"entry": 1, "turn": "L"}],
+               "max_queue_len": 5, "conflict_matrix": [[0, True], [1.0, 0]]}
+    path.write_text(json.dumps(lenient))
+    loaded = load_instance(path)
+    assert loaded.conflicts == ConflictMatrix(np.array([[0, 1], [1, 0]]))
+    save_instance(loaded, path)
+    # True == 1 == 1.0, so check the types as well
+    saved = json.loads(path.read_text())["conflict_matrix"]
+    assert saved == [[0, 1], [1, 0]]
+    assert all(type(x) is int for row in saved for x in row)
 
 
 def test_snapshot_roundtrip_queues_form(tmp_path):

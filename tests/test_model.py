@@ -37,7 +37,7 @@ from greenlight.errors import (
     TooManyPhasesError,
 )
 
-from helpers import symmetric_matrix_strategy
+from helpers import symmetric_array_strategy, symmetric_matrix_strategy
 
 
 def test_exit_arm_straight_is_opposite():
@@ -246,6 +246,26 @@ def test_property_conflict_matrix_shape(spec):
     assert arr.shape == (spec.num_paths, spec.num_paths)
     assert np.array_equal(arr, arr.T)
     assert not arr.diagonal().any()
+
+
+@given(symmetric_array_strategy(), symmetric_array_strategy(max_paths=3))
+@example(~np.eye(2, dtype=bool), ~np.eye(2, dtype=bool))
+@settings(max_examples=100)
+def test_property_conflict_matrix_reads_back_its_array(a, b):
+    # the array the caller passed is the reference: the matrix keeps only
+    # its neighbour masks, which every accessor and the phase lists read
+    cm = ConflictMatrix(a)
+    assert np.array_equal(cm.as_array(), a)
+    cm.as_array()[:] = True  # a fresh copy each call
+    assert np.array_equal(cm.as_array(), a)
+    rows, cols = np.nonzero(np.triu(a))
+    assert cm.pairs() == tuple(zip(rows.tolist(), cols.tolist()))
+    for i in range(len(a)):
+        for j in range(len(a)):
+            assert cm.conflicts(i, j) == a[i, j]
+            assert cm.neighbor_masks()[i] >> j & 1 == a[i, j]
+    assert cm == ConflictMatrix(a.copy())
+    assert (cm == ConflictMatrix(b)) == np.array_equal(a, b)
 
 
 @given(symmetric_matrix_strategy(max_paths=6), st.integers(min_value=0, max_value=63))

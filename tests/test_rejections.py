@@ -173,6 +173,8 @@ CLI_ROWS = {
     "optimize_out_in_missing_dir": (f"{OPTIMIZE} --out {{tmp}}/missing/report.json",
                                     "error: {tmp}/missing/report.json: No such file or directory"),
     "optimize_out_is_a_dir": (f"{OPTIMIZE} --out {{tmp}}/a_dir", "error: {tmp}/a_dir: Is a directory"),
+    "optimize_tick_seconds": (f"{OPTIMIZE} --tick-seconds 5",
+                              "greenlight: error: unrecognized arguments: --tick-seconds 5"),
     "optimize_malformed_snapshot": ("optimize --instance {instance} --snapshot {tmp}/gap.json",
                                     "error: queue 0: empty slot before an occupied one"),
     "optimize_unparseable_snapshot": (
