@@ -8,7 +8,7 @@ simulator and two classical baselines support like-for-like delay
 comparisons across load levels.
 """
 
-from .dynamics import DynamicsConfig, StepOutcome, initial_green_ages, lower_bound, rollout_cost, step
+from .dynamics import DynamicsConfig, StepOutcome, initial_green_ages, rollout_cost, step
 from .errors import (
     ConstraintViolationError,
     DimensionError,
@@ -129,7 +129,6 @@ __all__ = [
     "is_feasible_phase",
     "load_instance",
     "load_snapshot",
-    "lower_bound",
     "optimize_schedule",
     "rollout_cost",
     "run_episode",

@@ -1,4 +1,4 @@
-"""Discrete queue dynamics: the tick update, rollouts, and the cost bound.
+"""Discrete queue dynamics: the tick update and rollouts.
 
 Each tick runs in a fixed order: open paths that have been green long
 enough release their front vehicle, every remaining vehicle waits one
@@ -157,18 +157,3 @@ def rollout_cost(
             ages = out.green_age
     return total, state
 
-
-def lower_bound(s: TrafficSnapshot, remaining_ticks: int) -> int:
-    """Admissible lower bound on any feasible continuation's cost.
-
-    A vehicle behind j others cannot leave before j ticks have passed, so
-    over R remaining ticks it pays at least priority * min(j, R) no matter
-    which phases are chosen, even ignoring slow starts and conflicts.
-    """
-    if remaining_ticks < 0:
-        raise InvalidSpecError("remaining_ticks must be >= 0")
-    total = 0
-    for q in s.queues:
-        for j, v in enumerate(q):
-            total += v.priority * min(j, remaining_ticks)
-    return total

@@ -222,8 +222,6 @@ def load_snapshot(path: str | Path, spec: IntersectionSpec) -> TrafficSnapshot:
             arr = np.asarray(data["array"])
         except ValueError:
             raise FileFormatError(f"{path}: array form is ragged") from None
-        if arr.dtype == object or not np.issubdtype(arr.dtype, np.integer):
-            raise FileFormatError(f"{path}: array form must hold integers")
         return decode_snapshot(arr, spec, tick=tick)
 
     raw = data["queues"]

@@ -187,6 +187,9 @@ class ConflictMatrix:
         return len(self._neighbors)
 
     def conflicts(self, i: int, j: int) -> bool:
+        p = self.paths
+        if not (0 <= i < p and 0 <= j < p):
+            raise DimensionError(f"path pair ({i}, {j}) outside range({p})")
         return bool(self._neighbors[i] >> j & 1)
 
     def as_array(self) -> np.ndarray:
@@ -469,12 +472,6 @@ class TrafficSnapshot:
     def paths(self) -> int:
         return len(self.queues)
 
-    def queue_lengths(self) -> tuple[int, ...]:
-        return tuple(len(q) for q in self.queues)
-
-    def total_vehicles(self) -> int:
-        return sum(len(q) for q in self.queues)
-
     def is_empty(self) -> bool:
         return all(not q for q in self.queues)
 
@@ -539,9 +536,6 @@ class IntersectionSpec:
     def num_paths(self) -> int:
         return len(self.paths)
 
-    def empty_snapshot(self, tick: int = 0) -> TrafficSnapshot:
-        return TrafficSnapshot(tick=tick, queues=tuple(() for _ in self.paths))
-
     def all_closed(self) -> Phase:
         return Phase(0, self.num_paths)
 
@@ -579,10 +573,14 @@ def decode_snapshot(
 ) -> TrafficSnapshot:
     """Rebuild a snapshot from its (P, 2, L) array form.
 
-    Rejects arrays whose zero padding is broken: a zero-priority slot in
-    front of a nonzero one, a wait on an empty slot, or negative entries.
+    Rejects arrays that do not hold integers (a float, bool or object
+    array would be truncated or cast) and arrays whose zero padding is
+    broken: a zero-priority slot in front of a nonzero one, a wait on an
+    empty slot, or negative entries.
     """
     array = np.asarray(array)
+    if not np.issubdtype(array.dtype, np.integer):
+        raise MalformedArrayError(f"queue array must hold integers, got dtype {array.dtype}")
     expected = (spec.num_paths, 2, spec.max_queue_len)
     if array.shape != expected:
         raise DimensionError(f"expected array shape {expected}, got {array.shape}")

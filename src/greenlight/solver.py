@@ -54,7 +54,14 @@ DEFAULT_ORACLE_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search parameters: horizon, candidate policy, starvation threshold."""
+    """Search parameters: horizon, candidate policy, starvation threshold.
+
+    The guard (`wmax`) makes the first phase serve the longest-overdue
+    front vehicle once any front vehicle has waited wmax ticks. In drain
+    mode that bounds every wait by wmax + phase_ticks x paths (108 ticks
+    on the default junction), which C6 checks. It watches front vehicles
+    only, so under steady overload a deep queue can outlast it.
+    """
 
     horizon: int = 3
     maximal_only: bool = True
@@ -175,7 +182,9 @@ def _tables(priorities: tuple[int, ...], big_d: int, small_s: int, k: int):
     j-th vehicle still queued pays at least min(j, R) if the block left
     the path open, and min(j + slow_start, R) if it left it closed,
     because a closed path must turn green again before anyone leaves. It
-    is admissible and never below `dynamics.lower_bound`.
+    is admissible, and never below the plain bound sum(priority x min(j,
+    R)) that ignores slow starts and conflicts; the search-bound
+    admissibility property in tests/test_solver.py checks both.
 
     The tables are a pure function of the key (queue priorities front to
     back, phase_ticks, slow_start, k), so one build is shared by every

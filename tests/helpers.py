@@ -1,9 +1,10 @@
-"""Junctions, snapshots and hypothesis strategies shared by the test modules."""
+"""Junctions, snapshots, references and hypothesis strategies shared by the test modules."""
 
 import numpy as np
 from hypothesis import strategies as st
 
 from greenlight import ConflictMatrix, IntersectionSpec, TrafficSnapshot, VehicleRecord
+from greenlight.errors import InvalidSpecError
 
 
 def spec12(max_queue_len=6):
@@ -18,6 +19,22 @@ def snapshot_with(spec, path_queues, tick=0):
     for path, vehicles in path_queues.items():
         queues[path] = tuple(VehicleRecord(p, w) for p, w in vehicles)
     return TrafficSnapshot(tick, tuple(queues))
+
+
+def lower_bound(s: TrafficSnapshot, remaining_ticks: int) -> int:
+    """Admissible lower bound on any feasible continuation's cost.
+
+    A vehicle behind j others cannot leave before j ticks have passed, so
+    over R remaining ticks it pays at least priority * min(j, R) no matter
+    which phases are chosen, even ignoring slow starts and conflicts.
+    """
+    if remaining_ticks < 0:
+        raise InvalidSpecError("remaining_ticks must be >= 0")
+    total = 0
+    for q in s.queues:
+        for j, v in enumerate(q):
+            total += v.priority * min(j, remaining_ticks)
+    return total
 
 
 def symmetric_array_strategy(max_paths=10):

@@ -39,13 +39,14 @@ from greenlight import (
     enumerate_feasible_phases,
     exhaustive_oracle,
     is_feasible_phase,
-    lower_bound,
     optimize_schedule,
     rollout_cost,
     seed_initial_queues,
     standard_movements,
     step,
 )
+
+from helpers import lower_bound
 
 INTENSITIES = (0.25, 0.5, 0.75, 1.0)
 SEEDS = tuple(range(20))

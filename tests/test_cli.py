@@ -20,6 +20,8 @@ from greenlight import (
 )
 from greenlight.cli import SWEEP_HEADER, main
 
+from helpers import snapshot_with
+
 DATA = Path(__file__).parent / "data"
 INSTANCE = str(DATA / "instance_default.json")
 SNAPSHOT = str(DATA / "snapshot_sample.json")
@@ -98,7 +100,7 @@ def test_optimize_writes_json_report(capsys, tmp_path):
 def test_optimize_empty_snapshot_costs_zero(capsys, tmp_path):
     spec = load_instance(INSTANCE)
     snap_path = tmp_path / "empty.json"
-    save_snapshot(spec.empty_snapshot(), snap_path)
+    save_snapshot(snapshot_with(spec, {}), snap_path)
     code, out, _ = run_cli(
         capsys, "optimize", "--instance", INSTANCE, "--snapshot", str(snap_path)
     )

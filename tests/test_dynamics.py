@@ -16,7 +16,6 @@ from greenlight import (
     VehicleRecord,
     enumerate_feasible_phases,
     initial_green_ages,
-    lower_bound,
     rollout_cost,
     run_episode,
     step,
@@ -28,7 +27,7 @@ from greenlight.errors import (
     InvalidSpecError,
 )
 
-from helpers import snapshot_with, spec12
+from helpers import lower_bound, snapshot_with, spec12
 
 
 def test_config_defaults():
@@ -112,7 +111,7 @@ def test_step_rejects_infeasible_phase():
     with pytest.raises(ConstraintViolationError):
         step(
             spec,
-            spec.empty_snapshot(),
+            snapshot_with(spec, {}),
             Phase((1 << 1) | (1 << 4), 12),
             [0] * 12,
             DynamicsConfig(),
@@ -125,9 +124,9 @@ def test_feasible_phase_stepped_first_does_not_admit_an_infeasible_one():
     spec = spec12()
     for mask in (1 << 1, 1 << 4):
         for _ in range(3):
-            step(spec, spec.empty_snapshot(), Phase(mask, 12), [0] * 12, DynamicsConfig())
+            step(spec, snapshot_with(spec, {}), Phase(mask, 12), [0] * 12, DynamicsConfig())
     with pytest.raises(ConstraintViolationError):
-        step(spec, spec.empty_snapshot(), Phase((1 << 1) | (1 << 4), 12), [0] * 12, DynamicsConfig())
+        step(spec, snapshot_with(spec, {}), Phase((1 << 1) | (1 << 4), 12), [0] * 12, DynamicsConfig())
 
 
 def test_step_rejects_an_oversize_queue_by_index():
@@ -140,7 +139,7 @@ def test_step_rejects_an_oversize_queue_by_index():
 def test_step_rejects_wrong_age_vector_length():
     spec = spec12()
     with pytest.raises(DimensionError):
-        step(spec, spec.empty_snapshot(), spec.all_closed(), [0] * 5, DynamicsConfig())
+        step(spec, snapshot_with(spec, {}), spec.all_closed(), [0] * 5, DynamicsConfig())
 
 
 def test_initial_green_ages_warm_open_paths():
@@ -154,7 +153,7 @@ def test_rollout_empty_snapshot_costs_nothing():
     spec = spec12()
     schedule = (Phase(1, 12), Phase(2, 12))
     total, final = rollout_cost(
-        spec, spec.empty_snapshot(), schedule, spec.all_closed(), DynamicsConfig()
+        spec, snapshot_with(spec, {}), schedule, spec.all_closed(), DynamicsConfig()
     )
     assert total == 0
     assert final.is_empty
@@ -189,7 +188,7 @@ def test_rollout_closed_path_pays_every_tick():
 def test_rollout_rejects_empty_schedule():
     spec = spec12()
     with pytest.raises(InvalidSpecError):
-        rollout_cost(spec, spec.empty_snapshot(), (), spec.all_closed(), DynamicsConfig())
+        rollout_cost(spec, snapshot_with(spec, {}), (), spec.all_closed(), DynamicsConfig())
 
 
 def test_rollout_green_age_resets_on_reopen():
@@ -210,7 +209,7 @@ def test_rollout_green_age_resets_on_reopen():
 
 def test_lower_bound_empty_and_zero_horizon():
     spec = spec12()
-    assert lower_bound(spec.empty_snapshot(), 7) == 0
+    assert lower_bound(snapshot_with(spec, {}), 7) == 0
     s = snapshot_with(spec, {0: [(4, 0)], 5: [(2, 3)]})
     assert lower_bound(s, 0) == 0
 

@@ -37,7 +37,7 @@ from greenlight.errors import (
     TooManyPhasesError,
 )
 
-from helpers import symmetric_array_strategy, symmetric_matrix_strategy
+from helpers import snapshot_with, symmetric_array_strategy, symmetric_matrix_strategy
 
 
 def test_exit_arm_straight_is_opposite():
@@ -431,13 +431,13 @@ def test_encode_layout_example():
 
 def test_encode_empty_queue_is_zero_rows():
     spec = small_spec()
-    arr = encode_snapshot(spec.empty_snapshot(), spec)
+    arr = encode_snapshot(snapshot_with(spec, {}), spec)
     assert not arr.any()
 
 
 def test_decode_rejects_occupied_after_empty_slot():
     spec = small_spec()
-    arr = encode_snapshot(spec.empty_snapshot(), spec)
+    arr = encode_snapshot(snapshot_with(spec, {}), spec)
     arr[0, 0, 1] = 3
     with pytest.raises(MalformedArrayError):
         decode_snapshot(arr, spec)
@@ -445,7 +445,7 @@ def test_decode_rejects_occupied_after_empty_slot():
 
 def test_decode_rejects_wait_on_empty_slot():
     spec = small_spec()
-    arr = encode_snapshot(spec.empty_snapshot(), spec)
+    arr = encode_snapshot(snapshot_with(spec, {}), spec)
     arr[0, 1, 0] = 5
     with pytest.raises(MalformedArrayError):
         decode_snapshot(arr, spec)
@@ -453,7 +453,7 @@ def test_decode_rejects_wait_on_empty_slot():
 
 def test_decode_rejects_negative_entries():
     spec = small_spec()
-    arr = encode_snapshot(spec.empty_snapshot(), spec)
+    arr = encode_snapshot(snapshot_with(spec, {}), spec)
     arr[0, 0, 0] = -1
     with pytest.raises(MalformedArrayError):
         decode_snapshot(arr, spec)
@@ -482,9 +482,13 @@ def snapshot_strategy(spec):
 @given(snapshot_strategy(small_spec()))
 @settings(max_examples=100)
 def test_property_encode_decode_roundtrip(s):
-    # the array form carries no clock, so the tick rides alongside
+    # the array form carries no clock, so the tick rides alongside; a
+    # float copy of the same array is refused, not truncated
     spec = small_spec()
-    assert decode_snapshot(encode_snapshot(s, spec), spec, tick=s.tick) == s
+    arr = encode_snapshot(s, spec)
+    assert decode_snapshot(arr, spec, tick=s.tick) == s
+    with pytest.raises(MalformedArrayError, match="must hold integers, got dtype float64"):
+        decode_snapshot(arr.astype(np.float64), spec)
 
 
 def test_spec_rejects_overlong_queue():

@@ -34,7 +34,7 @@ def test_policy_tokens():
 def test_horizon_empty_snapshot_takes_lex_smallest_maximal():
     spec = spec12()
     st_ = ControllerState(spec.all_closed())
-    phase = decide_horizon_opt(spec, spec.empty_snapshot(), st_, SolverConfig(horizon=2))
+    phase = decide_horizon_opt(spec, snapshot_with(spec, {}), st_, SolverConfig(horizon=2))
     assert phase == spec.conflicts.maximal_phases()[0]
 
 
@@ -57,7 +57,7 @@ def test_f1_includes_only_occupied_path():
 
 def test_f1_empty_ties_to_lex_smallest():
     spec = spec12()
-    assert decide_f1(spec.empty_snapshot(), spec.conflicts) == (
+    assert decide_f1(snapshot_with(spec, {}), spec.conflicts) == (
         spec.conflicts.maximal_phases()[0]
     )
 

@@ -33,7 +33,6 @@ from greenlight import (
     append_arrivals,
     load_instance,
     load_snapshot,
-    lower_bound,
     save_instance,
     save_snapshot,
     standard_movements,
@@ -47,7 +46,7 @@ from greenlight.errors import (
     MalformedArrayError,
 )
 
-from helpers import spec12
+from helpers import snapshot_with, spec12
 
 DATA = Path(__file__).parent / "data"
 
@@ -123,7 +122,7 @@ def queues(*front, tick=0):
 
 
 SNAPSHOT_SPEC = spec12(max_queue_len=2)
-EMPTY = SNAPSHOT_SPEC.empty_snapshot()  # the 12 empty queues of any default junction
+EMPTY = snapshot_with(SNAPSHOT_SPEC, {})  # the 12 empty queues of any default junction
 # file content, or a call saving to the path -> error type, reason fragment
 SNAPSHOT_ROWS = {
     "not_an_object": ([], FileFormatError, "snapshot must be a JSON object"),
@@ -140,7 +139,7 @@ SNAPSHOT_ROWS = {
     "zero_priority_vehicle": (queues([[0, 3]]), InvalidSpecError, "priority must be >= 1, got 0"),
     "wrong_queue_count": ({"queues": [[]]}, DimensionError, "snapshot has 1 queues, instance has 12"),
     "ragged_array": ({"array": [[[1, 0], [0]]]}, FileFormatError, "array form is ragged"),
-    "float_array": ({"array": [[[0.5, 0], [0, 0]]]}, FileFormatError, "array form must hold integers"),
+    "float_array": ({"array": [[[0.5, 0], [0, 0]]]}, MalformedArrayError, "must hold integers"),
     "broken_array_padding": ({"array": queue_array(2, (0, 0, 1), 5).tolist()}, MalformedArrayError,
                              "queue 0: empty slot before an occupied one"),
     "save_array_form_without_spec": (partial(save_snapshot, EMPTY, form="array"),
@@ -262,6 +261,10 @@ API_ROWS = {
     "phase_mask_too_wide": (lambda: Phase(8, 3), DimensionError, "mask 0x8 does not fit width 3"),
     "matrix_empty": (lambda: ConflictMatrix(np.zeros((0, 0))), DimensionError,
                      "conflict matrix must cover at least one path"),
+    "matrix_conflicts_row_out_of_range": (lambda: SPEC.conflicts.conflicts(12, 0), DimensionError,
+                                          "path pair (12, 0) outside range(12)"),
+    "matrix_conflicts_column_negative": (lambda: SPEC.conflicts.conflicts(0, -1), DimensionError,
+                                         "path pair (0, -1) outside range(12)"),
     "spec_two_arms": (lambda: IntersectionSpec(2, MOVES[:1], 1), InvalidGeometryError,
                       "need at least 3 arms"),
     "spec_no_paths": (lambda: IntersectionSpec(4, (), 1), InvalidSpecError,
@@ -271,8 +274,6 @@ API_ROWS = {
         DimensionError, "conflict matrix covers 3 paths, instance has 12"),
     "dynamics_negative_slow_start": (lambda: DynamicsConfig(slow_start=-1), InvalidSpecError,
                                      "slow_start must be >= 0"),
-    "lower_bound_negative_ticks": (lambda: lower_bound(EMPTY, -1), InvalidSpecError,
-                                   "remaining_ticks must be >= 0"),
     "sim_negative_seed": (lambda: SimConfig(SPEC, 0.5, seed=-1), InvalidSpecError,
                           "seed must be nonnegative"),
     "sim_negative_episode_ticks": (lambda: SimConfig(SPEC, 0.5, episode_ticks=-1),

@@ -51,14 +51,14 @@ def test_seed_zero_intensity_is_empty():
 def test_seed_full_intensity_packs_every_lane():
     cfg = SimConfig(spec=spec12(max_queue_len=10), intensity=1.0, seed=3)
     s = seed_initial_queues(cfg)
-    assert s.queue_lengths() == (10,) * 12
+    assert tuple(len(q) for q in s.queues) == (10,) * 12
     assert all(v.wait == 0 for q in s.queues for v in q)
 
 
 def test_seed_partial_intensity_rounds_up():
     # ceil(0.25 * 10) = 3 vehicles per path
     cfg = SimConfig(spec=spec12(max_queue_len=10), intensity=0.25)
-    assert seed_initial_queues(cfg).queue_lengths() == (3,) * 12
+    assert tuple(len(q) for q in seed_initial_queues(cfg).queues) == (3,) * 12
 
 
 def test_seed_priorities_follow_class_mix():
@@ -144,7 +144,7 @@ def test_arrivals_full_queue_rejected_and_counted():
     arrivals = (((VehicleRecord(1, 0),)) ,) + ((),) * 11
     appended, rejected = append_arrivals(spec, full, arrivals)
     assert rejected == 1
-    assert appended.queue_lengths() == full.queue_lengths()
+    assert tuple(map(len, appended.queues)) == tuple(map(len, full.queues))
 
 
 def test_arrival_frequency_matches_bernoulli_rate():
@@ -250,7 +250,7 @@ def test_steady_accounting_against_replayed_stream():
     assert stats.throughput == len(log)
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    seeded = seed_initial_queues(cfg, rng).total_vehicles()
+    seeded = sum(len(q) for q in seed_initial_queues(cfg, rng).queues)
     generated = 0
     for t in range(stats.ticks):
         generated += sum(len(a) for a in generate_arrivals(cfg, t + 1, rng))

@@ -21,7 +21,6 @@ from greenlight import (
     exhaustive_oracle,
     initial_green_ages,
     load_instance,
-    lower_bound,
     optimize_schedule,
     rollout_cost,
     save_instance,
@@ -35,7 +34,7 @@ import greenlight.solver as solver
 from greenlight.model import _bits, _set_bits
 from greenlight.solver import _base_phases, _clique_terms, _phases_opening, _tables
 
-from helpers import snapshot_with, symmetric_matrix_strategy
+from helpers import lower_bound, snapshot_with, symmetric_matrix_strategy
 
 
 def zero_conflict_spec(paths=3, max_queue_len=3):
@@ -76,7 +75,7 @@ def test_candidates_without_guard_or_restriction():
     # zero conflicts over 3 paths: all 2^3 - 1 subsets qualify
     spec = zero_conflict_spec(3)
     cfg = SolverConfig(maximal_only=False)
-    phases = candidate_phases(spec, spec.empty_snapshot(), cfg)
+    phases = candidate_phases(spec, snapshot_with(spec, {}), cfg)
     assert len(phases) == 7
     assert [p.mask for p in phases] == list(range(1, 8))
 
@@ -84,7 +83,7 @@ def test_candidates_without_guard_or_restriction():
 def test_candidates_restricted_to_maximal():
     spec = zero_conflict_spec(3)
     cfg = SolverConfig(maximal_only=True)
-    phases = candidate_phases(spec, spec.empty_snapshot(), cfg)
+    phases = candidate_phases(spec, snapshot_with(spec, {}), cfg)
     assert [p.mask for p in phases] == [7]
 
 
@@ -168,7 +167,7 @@ def test_optimize_empty_snapshot_takes_lex_smallest():
     # phase at every depth
     spec = IntersectionSpec.standard(max_queue_len=6)
     cfg = SolverConfig(horizon=3)
-    sol = optimize_schedule(spec, spec.empty_snapshot(), spec.all_closed(), cfg)
+    sol = optimize_schedule(spec, snapshot_with(spec, {}), spec.all_closed(), cfg)
     first = spec.conflicts.maximal_phases()[0]
     assert sol.schedule == (first, first, first)
     assert sol.cost == 0
@@ -226,7 +225,7 @@ def test_oracle_two_paths_visits_four_schedules():
 def test_oracle_empty_snapshot_costs_nothing():
     spec = IntersectionSpec.standard(max_queue_len=4)
     cfg = SolverConfig(horizon=2)
-    orc = exhaustive_oracle(spec, spec.empty_snapshot(), spec.all_closed(), cfg)
+    orc = exhaustive_oracle(spec, snapshot_with(spec, {}), spec.all_closed(), cfg)
     assert orc.cost == 0
 
 
@@ -236,7 +235,7 @@ def test_oracle_refuses_oversized_search(monkeypatch):
     cfg = SolverConfig(horizon=3)
     monkeypatch.setattr(solver, "DEFAULT_ORACLE_CAP", 100)
     with pytest.raises(OracleTooLargeError, match="cap of 100"):
-        exhaustive_oracle(spec, spec.empty_snapshot(), spec.all_closed(), cfg)
+        exhaustive_oracle(spec, snapshot_with(spec, {}), spec.all_closed(), cfg)
     # the guard narrows the root to 3 phases (3^3 = 27), but it lifts once
     # the overdue vehicle leaves, so 3 x 12 x 12 = 432 leaves lie below it
     guarded = snapshot_with(spec, {1: [(1, 70), (1, 0)]})
@@ -653,7 +652,7 @@ def test_prev_phase_of_the_wrong_width_is_rejected(prev):
 def test_solution_reports_elapsed_time():
     spec = IntersectionSpec.standard(max_queue_len=4)
     sol = optimize_schedule(
-        spec, spec.empty_snapshot(), spec.all_closed(), SolverConfig(horizon=1)
+        spec, snapshot_with(spec, {}), spec.all_closed(), SolverConfig(horizon=1)
     )
     assert sol.elapsed_seconds >= 0.0
 
