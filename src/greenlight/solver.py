@@ -19,10 +19,10 @@ lookups.
 
 Three further cuts leave schedules, costs and the tie-break unchanged,
 and each is explained beside its code: a greedy dive that seeds the
-incumbent and the scoring of all-feasible candidates from their parent
-phases (`optimize_schedule`), and a clique bound on the last block
-(`_clique_terms`). A mask's open paths come from the shared index of
-`model._set_bits`.
+incumbent and the scoring of all-feasible candidates by one integer
+matrix-vector product per node (`optimize_schedule`), and a clique bound
+on the last block (`_clique_terms`). A mask's open paths come from the
+shared index of `model._set_bits`.
 
 The oracle instead chains one-block `dynamics.rollout_cost` calls, each
 from the state and phase the previous block left. A path open in the
@@ -37,6 +37,8 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import inf
+
+import numpy as np
 
 from .dynamics import DynamicsConfig, rollout_cost
 from .errors import InvalidSpecError, OracleTooLargeError
@@ -140,7 +142,7 @@ def _phases_opening(base: tuple[Phase, ...], target: int) -> tuple[Phase, ...]:
     {target} is a feasible phase, in the all-feasible list and inside
     some maximal one.
     """
-    return tuple(ph for ph in base if ph.is_open(target))
+    return tuple(ph for ph in base if ph.mask >> target & 1)
 
 
 def candidate_phases(
@@ -319,22 +321,22 @@ def optimize_schedule(
     totals never exceed c. The dive's expansions are not counted in
     `nodes_explored`.
 
-    Parent scores. On the unfiltered all-feasible list a candidate's
-    score at a node, the sum of its open paths' changes, is its parent's
-    score at that node plus the change of its lowest path (0 unless
-    queued); the parent is the phase without that path, earlier in the
-    list (`ConflictMatrix.feasible_links`). A node therefore runs one
-    fused loop of one table read per candidate and keeps those under the
-    incumbent; at a leaf, and in the dive, each kept one tightens the
-    limit, as it would become the incumbent. Only the kept ones reach
-    the per-candidate loop every list shares, which reads their open
-    paths, tests them again against the incumbent of the moment, and
-    holds the leaf update, the clique re-test, the child state and the
-    recursion. The scores are the same integers in the same order, so
-    node counts do not change either. The maximal list keeps per-path
-    sums, since no maximal phase contains another; so do guard-filtered
-    lists, where a phase whose lowest path is the guard's target has its
-    parent outside the list.
+    Incidence scores. On the all-feasible list a node scores every
+    candidate, the sum of its open paths' changes, in one product
+    `incidence @ change` (`ConflictMatrix.feasible_incidence`); a guard
+    filter takes its phases' rows once per call and target. A leaf or
+    dive node keeps the first argmin, the last incumbent an ascending
+    scan would set, and at a leaf only under the limit `best_cost -
+    accrued - closed_total`; any other node keeps every candidate under
+    the limit, in order. Only the kept ones reach the per-candidate loop
+    every list shares, which reads their open paths, tests them again
+    against the incumbent of the moment, and holds the leaf update, the
+    clique re-test, the child state and the recursion. The scores are
+    the same integers in the same order, so node counts do not change
+    either. The product is int64, since a float64 one goes to BLAS,
+    whose time on 7 arms varied from 0.14 to 8 ms between runs on a
+    2-vCPU Xeon (int64: 0.4-0.7 ms). The maximal list keeps per-path
+    sums, since no maximal phase contains another.
 
     Clique bound. At depth k - 2 a candidate that passes the per-path
     test is tested again against the last-block bound of `_clique_terms`.
@@ -369,12 +371,10 @@ def optimize_schedule(
         for depth in range(k)
     ]
     oldest = max((w for q in waits for w in q), default=-1)
-    # parent scores (see the docstring): gains[j] holds candidate j's score
-    # at the node being scored, and gains[-1] stays 0 for the empty parent
-    links = None if cfg.maximal_only else spec.conflicts.feasible_links()
-    if links is not None:
-        gains = [0] * (len(base) + 1)
-    guarded: dict[int, tuple[Phase, ...]] = {}
+    # all-feasible lists are scored by one product (see the docstring);
+    # a guard target maps to its phases and, for them, their incidence rows
+    incidence = None if cfg.maximal_only else spec.conflicts.feasible_incidence()
+    guarded: dict[int, tuple[tuple[Phase, ...], np.ndarray | None]] = {}
     bits = _bits
     # the clique bound prices the last block at depth k - 2 (see the
     # docstring); k = 1 never reaches it and never reads the cover
@@ -394,6 +394,7 @@ def optimize_schedule(
         # candidate of least total, down to one leaf
         nonlocal best_cost, best_schedule
         cands = base
+        scores = incidence
         elapsed = depth * big_d
         # no front wait can reach wmax before the oldest vehicle's does
         if wmax is not None and oldest + elapsed >= wmax:
@@ -402,9 +403,13 @@ def optimize_schedule(
                 wmax,
             )
             if target is not None:
-                cands = guarded.get(target)
-                if cands is None:
-                    cands = guarded[target] = _phases_opening(base, target)
+                got = guarded.get(target)
+                if got is None:
+                    got = guarded[target] = (
+                        _phases_opening(base, target),
+                        None if incidence is None else incidence[incidence[:, target] == 1],
+                    )
+                cands, scores = got
         by_depth[depth] += len(cands)
         leaf = depth == k - 1
         bound_row, rows = levels[depth]
@@ -424,19 +429,18 @@ def optimize_schedule(
             closed_total += c + bound_row[i][di]
             entry = opening[i] = rows[warm >> i & 1][i][di]
             change[i] = entry[0]
-        if links is not None and cands is base:
-            # parent scores (see the docstring); the dive tightens from no
-            # limit, so its last kept is the first least
-            limit = inf if dive or best_cost is None else best_cost - accrued - closed_total
-            tight = leaf or dive
-            kept = []
-            for j, (parent, low) in enumerate(links):
-                gain = gains[j] = gains[parent] + change[low]
-                if gain < limit:
-                    kept.append(cands[j])
-                    if tight:
-                        limit = gain
-            cands = kept[-1:] if dive else kept
+        if scores is not None:
+            # one product scores every candidate (see the docstring)
+            gain = scores @ np.array(change)
+            if dive:
+                cands = (cands[int(gain.argmin())],)
+            else:
+                limit = inf if best_cost is None else best_cost - accrued - closed_total
+                if leaf:
+                    j = int(gain.argmin())
+                    cands = (cands[j],) if gain[j] < limit else ()
+                else:
+                    cands = [cands[j] for j in np.flatnonzero(gain < limit).tolist()]
         elif dive:
             # keep the first candidate of least total; all share accrued +
             # closed_total, so compare the open paths' changes

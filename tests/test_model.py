@@ -335,30 +335,43 @@ def test_property_clique_cover_is_disjoint_cliques(cm):
 @example(ConflictMatrix(np.zeros((8, 8), dtype=bool)))
 @example(ConflictMatrix(~np.eye(8, dtype=bool)))
 @settings(max_examples=100)
-def test_property_feasible_links_point_to_earlier_parents(cm):
-    # every phase of two or more paths has its parent, itself without its
-    # lowest path, earlier in the list; singletons link to -1. The empty
-    # graph lists every subset, the complete graph singletons only
+def test_property_feasible_incidence_reads_back_open_paths(cm):
+    # row j marks exactly the open paths of phase j; the empty graph lists
+    # every subset, the complete graph singletons only
     phases = cm.feasible_phases()
-    links = cm.feasible_links()
-    assert len(links) == len(phases)
-    for j, (ph, (parent, low)) in enumerate(zip(phases, links)):
-        assert ph.open_paths()[0] == low
-        if len(ph.open_paths()) == 1:
-            assert parent == -1
-        else:
-            assert 0 <= parent < j
-            assert phases[parent].mask == ph.mask & ~(1 << low)
+    incidence = cm.feasible_incidence()
+    assert incidence.dtype == np.int64
+    assert incidence.shape == (len(phases), cm.paths)
+    assert not incidence.flags.writeable
+    for row, ph in zip(incidence, phases):
+        assert tuple(np.flatnonzero(row).tolist()) == ph.open_paths()
+        assert set(row.tolist()) <= {0, 1}
 
 
-def test_feasible_links_are_built_on_first_call_only():
-    # listing the phases does not build the links: junction set-up that
+def test_feasible_incidence_spans_more_than_62_paths():
+    # 70 paths that all conflict except the pairs (0, 69) and (63, 64):
+    # a row's paths past bit 62 must not wrap as an int64 shift would
+    data = ~np.eye(70, dtype=bool)
+    for i, j in ((0, 69), (63, 64)):
+        data[i, j] = data[j, i] = False
+    cm = ConflictMatrix(data)
+    incidence = cm.feasible_incidence()
+    assert incidence.shape == (72, 70)
+    phases = cm.feasible_phases()
+    rows = {ph.mask: tuple(np.flatnonzero(r).tolist()) for ph, r in zip(phases, incidence)}
+    assert rows[1 << 0 | 1 << 69] == (0, 69)
+    assert rows[1 << 63 | 1 << 64] == (63, 64)
+    assert rows[1 << 69] == (69,)
+    assert incidence.sum() == 70 + 2 * 2
+
+
+def test_feasible_incidence_is_built_on_first_call_only():
+    # listing the phases does not build the matrix: junction set-up that
     # enumerates phases pays nothing for a table only the search reads
     cm = IntersectionSpec.standard(5).conflicts
     cm.feasible_phases()
-    assert cm._links is None
-    assert cm.feasible_links() is cm.feasible_links()
-    assert len(cm.feasible_links()) == len(cm.feasible_phases())
+    assert cm._incidence is None
+    assert cm.feasible_incidence() is cm.feasible_incidence()
 
 
 @pytest.mark.parametrize("arms", [3, 4, 5, 6])

@@ -30,12 +30,17 @@ from greenlight import (
     IntersectionSpec,
     Phase,
     SimConfig,
+    SolverConfig,
+    TrafficSnapshot,
     append_arrivals,
+    decode_snapshot,
     load_instance,
     load_snapshot,
+    optimize_schedule,
     save_instance,
     save_snapshot,
     standard_movements,
+    step,
 )
 from greenlight.errors import (
     DimensionError,
@@ -176,6 +181,8 @@ CLI_ROWS = {
                               "greenlight: error: unrecognized arguments: --tick-seconds 5"),
     "optimize_malformed_snapshot": ("optimize --instance {instance} --snapshot {tmp}/gap.json",
                                     "error: queue 0: empty slot before an occupied one"),
+    "optimize_negative_tick": ("optimize --instance {instance} --snapshot {tmp}/tick.json",
+                               "error: {tmp}/tick.json: tick must be >= 0"),
     "optimize_unparseable_snapshot": (
         "optimize --instance {instance} --snapshot {tmp}/broken.json",
         "error: {tmp}/broken.json: line 1 column 12: Expecting property name enclosed in double quotes"),
@@ -221,6 +228,7 @@ CLI_FILES = {
     "a_file": "",
     "gap.json": {"tick": 0, "array": queue_array(10, (0, 0, 1), 5).tolist()},
     "broken.json": '{"tick": 0,,}',
+    "tick.json": queues(tick=-1),
     "utf16.json": '{"tick": 0}'.encode("utf-16"),
     "deep.json": "[" * 1000,
 }
@@ -259,6 +267,10 @@ MOVES = standard_movements(4)
 API_ROWS = {
     "phase_width_zero": (lambda: Phase(0, 0), DimensionError, "phase width must be positive"),
     "phase_mask_too_wide": (lambda: Phase(8, 3), DimensionError, "mask 0x8 does not fit width 3"),
+    "phase_is_open_past_width": (lambda: Phase(1, 3).is_open(5), DimensionError,
+                                 "path 5 outside range(3)"),
+    "phase_is_open_negative": (lambda: Phase(1, 3).is_open(-1), DimensionError,
+                               "path -1 outside range(3)"),
     "matrix_empty": (lambda: ConflictMatrix(np.zeros((0, 0))), DimensionError,
                      "conflict matrix must cover at least one path"),
     "matrix_conflicts_row_out_of_range": (lambda: SPEC.conflicts.conflicts(12, 0), DimensionError,
@@ -280,6 +292,16 @@ API_ROWS = {
                                    InvalidSpecError, "episode_ticks must be >= 0"),
     "arrivals_for_11_of_12_paths": (lambda: append_arrivals(SPEC, EMPTY, ((),) * 11),
                                     InvalidSpecError, "arrivals cover 11 paths, expected 12"),
+    "snapshot_negative_tick": (lambda: SPEC.validate_snapshot(TrafficSnapshot(-5, EMPTY.queues)),
+                               InvalidSpecError, "tick must be >= 0, got -5"),
+    "step_negative_tick": (lambda: step(SPEC, TrafficSnapshot(-5, EMPTY.queues), SPEC.all_closed(),
+                                        [0] * 12, DynamicsConfig()),
+                           InvalidSpecError, "tick must be >= 0, got -5"),
+    "optimize_negative_tick": (lambda: optimize_schedule(SPEC, TrafficSnapshot(-1, EMPTY.queues),
+                                                         SPEC.all_closed(), SolverConfig()),
+                               InvalidSpecError, "tick must be >= 0, got -1"),
+    "decode_negative_tick": (lambda: decode_snapshot(queue_array(6), SPEC, tick=-3),
+                             InvalidSpecError, "tick must be >= 0, got -3"),
     "sweep_zero_runs": (lambda: cli.SweepSpec(runs=0), GreenlightError, "runs must be >= 1"),
     "sweep_no_intensities": (lambda: cli.SweepSpec(intensities=()), GreenlightError,
                              "at least one intensity required"),

@@ -374,6 +374,17 @@ def test_search_keeps_the_lex_smallest_optimum_when_the_dive_ties():
     assert sol.nodes_explored <= orc.nodes_explored
 
 
+def test_all_feasible_plan_on_the_c8_snapshot_is_pinned():
+    # the 4-arm all-feasible k = 2 plan of C8's seed-0 snapshot, pinned:
+    # its cost, schedule and nodes per depth (all 335 candidates at each)
+    spec = IntersectionSpec.standard(max_queue_len=10)
+    s = seed_initial_queues(SimConfig(spec=spec, intensity=1.0, seed=0))
+    sol = optimize_schedule(spec, s, spec.all_closed(), SolverConfig(horizon=2, maximal_only=False))
+    assert sol.cost == 1045
+    assert sol.nodes_by_depth == (335, 335)
+    assert [ph.open_paths() for ph in sol.schedule] == [(0, 1, 3, 6, 9, 11)] * 2
+
+
 @given(random_junction_cases(max_paths=4), st.integers(min_value=1, max_value=2))
 @settings(max_examples=40, deadline=None)
 def test_search_bound_is_admissible_and_above_lower_bound(case, rest):
