@@ -22,6 +22,7 @@ from .dynamics import DynamicsConfig
 from .errors import FileFormatError, GreenlightError
 from .fileio import (
     _instance_problems,
+    _instance_spec,
     _load_json,
     _write_text,
     load_instance,
@@ -281,11 +282,12 @@ def cmd_phases(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    problems = _instance_problems(_load_json(args.instance))
+    data = _load_json(args.instance)
+    problems = _instance_problems(data)
     if problems:
         print("\n".join(problems))
         return EXIT_INVALID
-    pairs = load_instance(args.instance).conflicts.pairs()
+    pairs = _instance_spec(data).conflicts.pairs()
     print("ok")
     print(f"conflict pairs: {len(pairs)}")
     for i, j in pairs:

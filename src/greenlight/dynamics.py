@@ -12,15 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ConstraintViolationError, DimensionError, InvalidSpecError
-from .model import (
-    IntersectionSpec,
-    Phase,
-    TrafficSnapshot,
-    VehicleRecord,
-    _check_phase_width,
-    is_feasible_phase,
-)
+from .errors import DimensionError, InvalidSpecError
+from .model import IntersectionSpec, Phase, TrafficSnapshot, VehicleRecord, _check_phase
 
 
 @dataclass(frozen=True)
@@ -99,8 +92,7 @@ def step(
         raise DimensionError(
             f"green_age covers {len(green_age)} paths, expected {spec.num_paths}"
         )
-    if not is_feasible_phase(phase, spec.conflicts):
-        raise ConstraintViolationError(f"phase {phase} opens conflicting paths")
+    _check_phase(phase, spec.conflicts)
 
     mask = phase.mask
     slow_start = cfg.slow_start
@@ -124,8 +116,8 @@ def step(
 def initial_green_ages(
     spec: IntersectionSpec, prev_phase: Phase, cfg: DynamicsConfig
 ) -> list[int]:
-    """Green ages entering a plan: paths already open count as warmed up."""
-    _check_phase_width(prev_phase, spec.num_paths)
+    """Green ages entering a plan from a feasible phase: its open paths are warm."""
+    _check_phase(prev_phase, spec.conflicts)
     return [cfg.slow_start if prev_phase.is_open(i) else 0 for i in range(spec.num_paths)]
 
 

@@ -4,7 +4,8 @@ Instance files describe a junction: arms, movements, queue capacity,
 driving side, merge policy, and optionally an explicit conflict matrix
 overriding the geometric one. One collector, `_instance_problems`,
 holds every instance rule: `load_instance` raises on what it finds and
-`greenlight validate` prints it, so both accept the same files.
+`greenlight validate` prints it, so both accept the same files, and
+`_instance_spec` builds the junction from the one document both read.
 
 Snapshot files carry queue contents either as nested [priority, wait]
 pairs or as the flat (P, 2, L) array form.
@@ -174,6 +175,11 @@ def load_instance(path: str | Path) -> IntersectionSpec:
     problems = _instance_problems(data)
     if problems:
         raise FileFormatError(f"{path}: " + "; ".join(problems))
+    return _instance_spec(data)
+
+
+def _instance_spec(data) -> IntersectionSpec:
+    """The junction of a parsed document `_instance_problems` found no problem in."""
     matrix = data.get("conflict_matrix")
     return IntersectionSpec(
         arms=data["arms"],

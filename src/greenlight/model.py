@@ -9,10 +9,12 @@ neighbour bit mask per path. Neither phase list scans the 2^P subsets:
 the maximal phases are the maximal cliques of the compatibility graph,
 and all feasible phases come from a recursion over independent sets
 whose work grows with the number found, capped at MAX_FEASIBLE_PHASES.
-Both lists are cached on the ConflictMatrix. `_set_bits` indexes the
-set bits of a mask for every module. Queue state round-trips through a
-(P, 2, L) integer array: plane 0 holds priorities front to back, plane
-1 the waiting times, and unused slots are zero in both planes.
+Both lists are cached on the ConflictMatrix, each with the incidence
+matrix that f1 (maximal) and the search (all-feasible) read. `_set_bits`
+indexes the set bits of a mask for every module. Queue state
+round-trips through a (P, 2, L) integer array: plane 0 holds priorities
+front to back, plane 1 the waiting times, and unused slots are zero in
+both planes.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from math import ceil
 import numpy as np
 
 from .errors import (
+    ConstraintViolationError,
     DimensionError,
     InvalidGeometryError,
     InvalidSpecError,
@@ -158,10 +161,10 @@ class ConflictMatrix:
     """Symmetric boolean P x P matrix of pairwise path conflicts.
 
     Instances are immutable values that store one neighbour bit mask per
-    path, which every accessor reads. Derived structures (the maximal-phase
-    list and its open paths, the all-feasible list and its incidence
-    matrix, the clique cover) are computed lazily, at most once per
-    matrix, and cached, as are the masks `is_feasible_phase` has accepted.
+    path, which every accessor reads. Derived structures (the maximal and
+    all-feasible phase lists, one incidence matrix per list, the clique
+    cover) are computed lazily, at most once per matrix, and cached, as
+    are the masks `is_feasible_phase` has accepted.
     """
 
     def __init__(self, data: np.ndarray):
@@ -178,9 +181,8 @@ class ConflictMatrix:
             sum(1 << j for j in np.flatnonzero(row).tolist()) for row in data
         )
         self._maximal: tuple[Phase, ...] | None = None
-        self._maximal_paths: tuple[tuple[int, ...], ...] | None = None
         self._feasible: tuple[Phase, ...] | None = None
-        self._incidence: np.ndarray | None = None
+        self._incidence: dict[bool, np.ndarray] = {}  # keyed by maximal_only
         self._cliques: tuple[tuple[int, ...], ...] | None = None
         self._proven_feasible: set[int] = set()  # masks is_feasible_phase accepted
 
@@ -215,12 +217,6 @@ class ConflictMatrix:
             self._maximal = tuple(Phase(m, self.paths) for m in masks)
         return self._maximal
 
-    def maximal_open_paths(self) -> tuple[tuple[int, ...], ...]:
-        """Each maximal phase's open paths, aligned with maximal_phases()."""
-        if self._maximal_paths is None:
-            self._maximal_paths = tuple(ph.open_paths() for ph in self.maximal_phases())
-        return self._maximal_paths
-
     def clique_cover(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cliques of the conflict graph, each of two or more paths.
 
@@ -246,26 +242,27 @@ class ConflictMatrix:
             self._feasible = tuple(Phase(m, self.paths) for m in masks)
         return self._feasible
 
-    def feasible_incidence(self) -> np.ndarray:
-        """Read-only (phases x paths) int64 0/1 matrix of the all-feasible list.
+    def incidence(self, maximal_only: bool) -> np.ndarray:
+        """Read-only (phases x paths) int64 0/1 matrix of one phase list.
 
-        Row j marks the open paths of feasible_phases()[j], so `incidence
-        @ v` sums v over each phase's open paths in one product. The rows
-        are unpacked from each mask's little-endian bytes, which works for
-        any number of paths. The matrix takes 8 bytes per path per phase
-        (about 22 MB on standard(8)'s 115,967 phases), so it is built on
-        first call, not with the list.
+        Row j marks the open paths of maximal_phases()[j] if `maximal_only`,
+        else of feasible_phases()[j], so `incidence @ v` sums v over each
+        phase's open paths in one product. The rows are unpacked from each
+        mask's little-endian bytes, which works for any number of paths.
+        At 8 bytes per path per phase (about 22 MB for standard(8)'s
+        115,967 feasible phases) it is built on first call, not with the list.
         """
-        if self._incidence is None:
-            phases = self.feasible_phases()
+        got = self._incidence.get(maximal_only)
+        if got is None:
+            phases = self.maximal_phases() if maximal_only else self.feasible_phases()
             width = (self.paths + 7) // 8
             packed = np.frombuffer(
                 b"".join(ph.mask.to_bytes(width, "little") for ph in phases), dtype=np.uint8
             ).reshape(len(phases), width)
             bits = np.unpackbits(packed, axis=1, count=self.paths, bitorder="little")
-            self._incidence = bits.astype(np.int64)
-            self._incidence.setflags(write=False)
-        return self._incidence
+            got = self._incidence[maximal_only] = bits.astype(np.int64)
+            got.setflags(write=False)
+        return got
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ConflictMatrix) and self._neighbors == other._neighbors
@@ -321,15 +318,10 @@ def build_conflict_matrix(
     return ConflictMatrix(data)
 
 
-def _check_phase_width(phase: Phase, paths: int) -> None:
-    """The one width rule for a phase applied to a junction of `paths` paths."""
-    if phase.width != paths:
-        raise DimensionError(f"phase width {phase.width} != matrix size {paths}")
-
-
 def is_feasible_phase(phase: Phase, conflicts: ConflictMatrix) -> bool:
     """True when no two open paths conflict; accepted masks are remembered on the matrix."""
-    _check_phase_width(phase, conflicts.paths)
+    if phase.width != conflicts.paths:
+        raise DimensionError(f"phase width {phase.width} != matrix size {conflicts.paths}")
     mask = phase.mask
     if mask in conflicts._proven_feasible:
         return True
@@ -339,6 +331,13 @@ def is_feasible_phase(phase: Phase, conflicts: ConflictMatrix) -> bool:
             return False
     conflicts._proven_feasible.add(mask)
     return True
+
+
+def _check_phase(phase: Phase, conflicts: ConflictMatrix) -> None:
+    """The one rule for a stepped phase or a plan's `prev_phase`: the
+    matrix's width (DimensionError) and no conflict (ConstraintViolationError)."""
+    if not is_feasible_phase(phase, conflicts):
+        raise ConstraintViolationError(f"phase {phase} opens conflicting paths")
 
 
 def _greedy_clique_cover(neighbors: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

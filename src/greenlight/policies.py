@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .model import ConflictMatrix, IntersectionSpec, Phase, TrafficSnapshot
 from .solver import SolverConfig, optimize_schedule
 
@@ -46,22 +48,13 @@ def decide_horizon_opt(
 def decide_f1(s: TrafficSnapshot, conflicts: ConflictMatrix) -> Phase:
     """Congestion-greedy baseline: open the most queued vehicles at once.
 
-    Scans the maximal feasible phases in ascending bit-vector order and
-    keeps the first one maximizing total queued vehicles over its open
-    paths, so ties go to the lexicographically smallest phase. The open
-    paths of each maximal phase come from the matrix's cache.
+    Scores every maximal feasible phase by the queued vehicles over its
+    open paths in one product with the matrix's cached maximal incidence
+    (`ConflictMatrix.incidence`) and keeps the first maximum, so ties go
+    to the lexicographically smallest phase.
     """
-    counts = [len(q) for q in s.queues]
-    # a matrix has a path, hence a maximal phase, whose cover >= 0 sets best
-    best_cover = -1
-    for ph, open_paths in zip(conflicts.maximal_phases(), conflicts.maximal_open_paths()):
-        cover = 0
-        for i in open_paths:
-            cover += counts[i]
-        if cover > best_cover:
-            best_cover = cover
-            best = ph
-    return best
+    cover = conflicts.incidence(True) @ np.array([len(q) for q in s.queues])
+    return conflicts.maximal_phases()[int(cover.argmax())]
 
 
 def decide_f2(tick: int, conflicts: ConflictMatrix, phase_ticks: int) -> Phase:

@@ -184,6 +184,22 @@ def test_validate_ok_lists_conflict_pairs(capsys):
     assert listed == list(spec.conflicts.pairs())
 
 
+def test_validate_reads_the_instance_once(capsys, monkeypatch):
+    # the pairs listed come from the document validate checked, not from
+    # a second read of a file that may have changed in between
+    reads = []
+
+    def counting(path, load=cli._load_json):
+        reads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "_load_json", counting)
+    monkeypatch.setattr("greenlight.fileio._load_json", counting)
+    code, out, _ = run_cli(capsys, "validate", "--instance", INSTANCE)
+    assert code == 0 and out.startswith("ok\nconflict pairs: 16\n")
+    assert reads == [INSTANCE]
+
+
 def test_validate_asymmetric_matrix_exits_2(capsys, tmp_path):
     doc = json.loads(Path(INSTANCE).read_text())
     matrix = [[0] * 12 for _ in range(12)]

@@ -20,6 +20,7 @@ from greenlight import (
     Turn,
     VehicleRecord,
     build_conflict_matrix,
+    decide_f1,
     decode_snapshot,
     encode_snapshot,
     enumerate_feasible_phases,
@@ -331,15 +332,24 @@ def test_property_clique_cover_is_disjoint_cliques(cm):
             assert sum(phase.is_open(i) for i in clique) <= 1
 
 
+LISTS = pytest.mark.parametrize("maximal_only", [True, False], ids=["maximal", "all-feasible"])
+
+
+def phase_list(cm, maximal_only):
+    return cm.maximal_phases() if maximal_only else cm.feasible_phases()
+
+
+@LISTS
 @given(symmetric_matrix_strategy())
 @example(ConflictMatrix(np.zeros((8, 8), dtype=bool)))
 @example(ConflictMatrix(~np.eye(8, dtype=bool)))
 @settings(max_examples=100)
-def test_property_feasible_incidence_reads_back_open_paths(cm):
-    # row j marks exactly the open paths of phase j; the empty graph lists
-    # every subset, the complete graph singletons only
-    phases = cm.feasible_phases()
-    incidence = cm.feasible_incidence()
+def test_property_incidence_reads_back_open_paths(maximal_only, cm):
+    # row j marks exactly the open paths of phase j of its list; the empty
+    # graph lists every subset (one maximal phase), the complete graph
+    # singletons only
+    phases = phase_list(cm, maximal_only)
+    incidence = cm.incidence(maximal_only)
     assert incidence.dtype == np.int64
     assert incidence.shape == (len(phases), cm.paths)
     assert not incidence.flags.writeable
@@ -348,14 +358,14 @@ def test_property_feasible_incidence_reads_back_open_paths(cm):
         assert set(row.tolist()) <= {0, 1}
 
 
-def test_feasible_incidence_spans_more_than_62_paths():
+def test_incidence_spans_more_than_62_paths():
     # 70 paths that all conflict except the pairs (0, 69) and (63, 64):
     # a row's paths past bit 62 must not wrap as an int64 shift would
     data = ~np.eye(70, dtype=bool)
     for i, j in ((0, 69), (63, 64)):
         data[i, j] = data[j, i] = False
     cm = ConflictMatrix(data)
-    incidence = cm.feasible_incidence()
+    incidence = cm.incidence(False)
     assert incidence.shape == (72, 70)
     phases = cm.feasible_phases()
     rows = {ph.mask: tuple(np.flatnonzero(r).tolist()) for ph, r in zip(phases, incidence)}
@@ -365,13 +375,20 @@ def test_feasible_incidence_spans_more_than_62_paths():
     assert incidence.sum() == 70 + 2 * 2
 
 
-def test_feasible_incidence_is_built_on_first_call_only():
-    # listing the phases does not build the matrix: junction set-up that
-    # enumerates phases pays nothing for a table only the search reads
-    cm = IntersectionSpec.standard(5).conflicts
+@LISTS
+def test_incidence_is_built_on_first_call_only(maximal_only):
+    # listing the phases builds no matrix: junction set-up that enumerates
+    # phases pays nothing for a table only f1 and the search read; f1's
+    # first call builds the maximal list's matrix alone
+    spec = IntersectionSpec.standard(5)
+    cm = spec.conflicts
+    cm.maximal_phases()
     cm.feasible_phases()
-    assert cm._incidence is None
-    assert cm.feasible_incidence() is cm.feasible_incidence()
+    assert cm._incidence == {}
+    decide_f1(snapshot_with(spec, {0: [(1, 0)]}), cm)
+    assert list(cm._incidence) == [True]
+    assert cm.incidence(maximal_only) is cm.incidence(maximal_only)
+    assert cm.incidence(not maximal_only) is not cm.incidence(maximal_only)
 
 
 @pytest.mark.parametrize("arms", [3, 4, 5, 6])
@@ -417,8 +434,6 @@ def test_phase_lists_are_built_once_and_copied_out():
     cm = IntersectionSpec.standard().conflicts
     assert cm.feasible_phases() is cm.feasible_phases()
     assert cm.maximal_phases() is cm.maximal_phases()
-    assert cm.maximal_open_paths() is cm.maximal_open_paths()
-    assert cm.maximal_open_paths() == tuple(ph.open_paths() for ph in cm.maximal_phases())
     listed = enumerate_feasible_phases(cm, maximal_only=False)
     assert isinstance(listed, list)
     listed.clear()

@@ -34,15 +34,19 @@ from greenlight import (
     TrafficSnapshot,
     append_arrivals,
     decode_snapshot,
+    exhaustive_oracle,
+    initial_green_ages,
     load_instance,
     load_snapshot,
     optimize_schedule,
+    rollout_cost,
     save_instance,
     save_snapshot,
     standard_movements,
     step,
 )
 from greenlight.errors import (
+    ConstraintViolationError,
     DimensionError,
     FileFormatError,
     GreenlightError,
@@ -262,6 +266,7 @@ def test_cli_invocation_rejected(tmp_path, capsys, monkeypatch, argv, message):
 
 SPEC = spec12()  # 12 paths, queues of at most 6
 MOVES = standard_movements(4)
+CROSSING = Phase(sum(1 << i for i in SPEC.conflicts.pairs()[0]), 12)  # opens a conflicting pair
 # call -> error type, message fragment; the rejections of the model,
 # dynamics, solver and simulator suites are checked there
 API_ROWS = {
@@ -300,6 +305,17 @@ API_ROWS = {
     "optimize_negative_tick": (lambda: optimize_schedule(SPEC, TrafficSnapshot(-1, EMPTY.queues),
                                                          SPEC.all_closed(), SolverConfig()),
                                InvalidSpecError, "tick must be >= 0, got -1"),
+    **{
+        f"{name}_from_conflicting_prev_phase": (call, ConstraintViolationError,
+                                               f"phase {CROSSING} opens conflicting paths")
+        for name, call in (
+            ("optimize", lambda: optimize_schedule(SPEC, EMPTY, CROSSING, SolverConfig(horizon=2))),
+            ("oracle", lambda: exhaustive_oracle(SPEC, EMPTY, CROSSING, SolverConfig(horizon=2))),
+            ("rollout_cost", lambda: rollout_cost(SPEC, EMPTY, (SPEC.all_closed(),), CROSSING,
+                                                  DynamicsConfig())),
+            ("initial_green_ages", lambda: initial_green_ages(SPEC, CROSSING, DynamicsConfig())),
+        )
+    },
     "decode_negative_tick": (lambda: decode_snapshot(queue_array(6), SPEC, tick=-3),
                              InvalidSpecError, "tick must be >= 0, got -3"),
     "sweep_zero_runs": (lambda: cli.SweepSpec(runs=0), GreenlightError, "runs must be >= 1"),
