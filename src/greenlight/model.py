@@ -9,9 +9,10 @@ neighbour bit mask per path. Neither phase list scans the 2^P subsets:
 the maximal phases are the maximal cliques of the compatibility graph,
 and all feasible phases come from a recursion over independent sets
 whose work grows with the number found, capped at MAX_FEASIBLE_PHASES.
-Both lists are cached on the ConflictMatrix, each with the incidence
-matrix that f1 (maximal) and the search (all-feasible) read. `_set_bits`
-indexes the set bits of a mask for every module. Queue state
+Both lists are cached on the ConflictMatrix as int masks (`phase_masks`),
+each with the incidence matrix that f1 (maximal) and the search
+(all-feasible) read; a `Phase` is built only where a caller receives one.
+`_set_bits` indexes the set bits of a mask for every module. Queue state
 round-trips through a (P, 2, L) integer array: plane 0 holds priorities
 front to back, plane 1 the waiting times, and unused slots are zero in
 both planes.
@@ -162,9 +163,10 @@ class ConflictMatrix:
 
     Instances are immutable values that store one neighbour bit mask per
     path, which every accessor reads. Derived structures (the maximal and
-    all-feasible phase lists, one incidence matrix per list, the clique
-    cover) are computed lazily, at most once per matrix, and cached, as
-    are the masks `is_feasible_phase` has accepted.
+    all-feasible phase lists as int masks, one incidence matrix per list,
+    the clique cover) are computed lazily, at most once per matrix, and
+    cached, as are the masks `is_feasible_phase` has accepted. No `Phase`
+    is cached: `maximal_phases()` builds fresh ones from the masks.
     """
 
     def __init__(self, data: np.ndarray):
@@ -180,8 +182,7 @@ class ConflictMatrix:
         self._neighbors = tuple(
             sum(1 << j for j in np.flatnonzero(row).tolist()) for row in data
         )
-        self._maximal: tuple[Phase, ...] | None = None
-        self._feasible: tuple[Phase, ...] | None = None
+        self._masks: dict[bool, tuple[int, ...]] = {}  # keyed by maximal_only
         self._incidence: dict[bool, np.ndarray] = {}  # keyed by maximal_only
         self._cliques: tuple[tuple[int, ...], ...] | None = None
         self._proven_feasible: set[int] = set()  # masks is_feasible_phase accepted
@@ -210,12 +211,22 @@ class ConflictMatrix:
         """For each path, the bit mask of paths it conflicts with."""
         return self._neighbors
 
+    def phase_masks(self, maximal_only: bool) -> tuple[int, ...]:
+        """Open-path masks of one phase list, ascending, built once.
+
+        With `maximal_only`, the phases no path can be added to; else every
+        nonempty feasible phase, which raises TooManyPhasesError once more
+        than MAX_FEASIBLE_PHASES are found.
+        """
+        got = self._masks.get(maximal_only)
+        if got is None:
+            build = _maximal_independent_sets if maximal_only else _independent_sets
+            got = self._masks[maximal_only] = tuple(build(self._neighbors))
+        return got
+
     def maximal_phases(self) -> tuple[Phase, ...]:
-        """Phases no path can be added to, in ascending mask order."""
-        if self._maximal is None:
-            masks = _maximal_independent_sets(self.neighbor_masks())
-            self._maximal = tuple(Phase(m, self.paths) for m in masks)
-        return self._maximal
+        """A fresh tuple of the phases no path can be added to, ascending."""
+        return tuple(Phase(m, self.paths) for m in self.phase_masks(True))
 
     def clique_cover(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cliques of the conflict graph, each of two or more paths.
@@ -231,34 +242,23 @@ class ConflictMatrix:
             self._cliques = _greedy_clique_cover(self.neighbor_masks())
         return self._cliques
 
-    def feasible_phases(self) -> tuple[Phase, ...]:
-        """All nonempty feasible phases in ascending mask order.
-
-        Raises TooManyPhasesError once more than MAX_FEASIBLE_PHASES are
-        found.
-        """
-        if self._feasible is None:
-            masks = _independent_sets(self.neighbor_masks())
-            self._feasible = tuple(Phase(m, self.paths) for m in masks)
-        return self._feasible
-
     def incidence(self, maximal_only: bool) -> np.ndarray:
         """Read-only (phases x paths) int64 0/1 matrix of one phase list.
 
-        Row j marks the open paths of maximal_phases()[j] if `maximal_only`,
-        else of feasible_phases()[j], so `incidence @ v` sums v over each
-        phase's open paths in one product. The rows are unpacked from each
-        mask's little-endian bytes, which works for any number of paths.
-        At 8 bytes per path per phase (about 22 MB for standard(8)'s
-        115,967 feasible phases) it is built on first call, not with the list.
+        Row j marks the open paths of phase_masks(maximal_only)[j], so
+        `incidence @ v` sums v over each phase's open paths in one product.
+        The rows are unpacked from each mask's little-endian bytes, which
+        works for any number of paths. At 8 bytes per path per phase (about
+        22 MB for standard(8)'s 115,967 feasible phases) it is built on
+        first call, not with the list.
         """
         got = self._incidence.get(maximal_only)
         if got is None:
-            phases = self.maximal_phases() if maximal_only else self.feasible_phases()
+            masks = self.phase_masks(maximal_only)
             width = (self.paths + 7) // 8
             packed = np.frombuffer(
-                b"".join(ph.mask.to_bytes(width, "little") for ph in phases), dtype=np.uint8
-            ).reshape(len(phases), width)
+                b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8
+            ).reshape(len(masks), width)
             bits = np.unpackbits(packed, axis=1, count=self.paths, bitorder="little")
             got = self._incidence[maximal_only] = bits.astype(np.int64)
             got.setflags(write=False)
@@ -438,13 +438,11 @@ def enumerate_feasible_phases(
     """All nonempty feasible phases in ascending bit-vector order.
 
     With `maximal_only`, only phases to which no further path can be
-    added. Returns a fresh list copied from the matrix's cached
-    `maximal_phases()` or `feasible_phases()`; the latter raises
+    added. Returns a fresh list of `Phase` objects built from the
+    matrix's cached `phase_masks`; the all-feasible list raises
     TooManyPhasesError past MAX_FEASIBLE_PHASES phases.
     """
-    if maximal_only:
-        return list(conflicts.maximal_phases())
-    return list(conflicts.feasible_phases())
+    return [Phase(m, conflicts.paths) for m in conflicts.phase_masks(maximal_only)]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import DimensionError
 from .model import ConflictMatrix, IntersectionSpec, Phase, TrafficSnapshot
 from .solver import SolverConfig, optimize_schedule
 
@@ -51,10 +52,13 @@ def decide_f1(s: TrafficSnapshot, conflicts: ConflictMatrix) -> Phase:
     Scores every maximal feasible phase by the queued vehicles over its
     open paths in one product with the matrix's cached maximal incidence
     (`ConflictMatrix.incidence`) and keeps the first maximum, so ties go
-    to the lexicographically smallest phase.
+    to the lexicographically smallest phase. A snapshot of another width
+    than the matrix raises DimensionError.
     """
+    if s.paths != conflicts.paths:
+        raise DimensionError(f"snapshot has {s.paths} queues, matrix has {conflicts.paths} paths")
     cover = conflicts.incidence(True) @ np.array([len(q) for q in s.queues])
-    return conflicts.maximal_phases()[int(cover.argmax())]
+    return Phase(conflicts.phase_masks(True)[int(cover.argmax())], conflicts.paths)
 
 
 def decide_f2(tick: int, conflicts: ConflictMatrix, phase_ticks: int) -> Phase:
@@ -63,5 +67,5 @@ def decide_f2(tick: int, conflicts: ConflictMatrix, phase_ticks: int) -> Phase:
     One revolution opens every path: a single path is a feasible phase,
     and every feasible phase lies inside some maximal one.
     """
-    cycle = conflicts.maximal_phases()
-    return cycle[(tick // phase_ticks) % len(cycle)]
+    cycle = conflicts.phase_masks(True)
+    return Phase(cycle[(tick // phase_ticks) % len(cycle)], conflicts.paths)

@@ -5,7 +5,8 @@ bit-vector order, pruning a branch as soon as its accrued cost plus an
 admissible lower bound cannot strictly beat the incumbent. Because the
 first minimum-cost leaf reached in that order is the lexicographically
 smallest one, the returned schedule is deterministic and matches the
-oracle's tie-break exactly.
+oracle's tie-break exactly. The search holds each candidate as its int
+mask (`ConflictMatrix.phase_masks`) and wraps only its result in `Phase`.
 
 Since slow_start < phase_ticks, a path entering a block is either warm
 (open in the previous phase, so it can release a vehicle on the first
@@ -110,12 +111,6 @@ class Solution:
         return sum(self.nodes_by_depth)
 
 
-def _base_phases(spec: IntersectionSpec, cfg: SolverConfig) -> tuple[Phase, ...]:
-    if cfg.maximal_only:
-        return spec.conflicts.maximal_phases()
-    return spec.conflicts.feasible_phases()
-
-
 def _guard_target(front_waits: list[int | None], wmax: int | None) -> int | None:
     """Path the starvation guard forces open, or None.
 
@@ -134,15 +129,15 @@ def _guard_target(front_waits: list[int | None], wmax: int | None) -> int | None
     return target
 
 
-def _phases_opening(base: tuple[Phase, ...], target: int) -> tuple[Phase, ...]:
-    """The phases of `base` that open path `target`, in base's order.
+def _phases_opening(base: tuple[int, ...], target: int) -> tuple[int, ...]:
+    """The phase masks of `base` that open path `target`, in base's order.
 
     Never empty when `base` is a matrix's maximal or all-feasible list:
     no path of a valid `ConflictMatrix` conflicts with itself, so
     {target} is a feasible phase, in the all-feasible list and inside
     some maximal one.
     """
-    return tuple(ph for ph in base if ph.mask >> target & 1)
+    return tuple(m for m in base if m >> target & 1)
 
 
 def candidate_phases(
@@ -160,11 +155,11 @@ def candidate_phases(
     Only the all-feasible list can fail, with `TooManyPhasesError`.
     """
     spec.validate_snapshot(s)
-    base = _base_phases(spec, cfg)
+    masks = spec.conflicts.phase_masks(cfg.maximal_only)
     target = _guard_target([q[0].wait if q else None for q in s.queues], cfg.wmax)
-    if target is None:
-        return base
-    return _phases_opening(base, target)
+    if target is not None:
+        masks = _phases_opening(masks, target)
+    return tuple([Phase(m, spec.num_paths) for m in masks])
 
 
 @lru_cache(maxsize=1 << 10)
@@ -357,7 +352,7 @@ def optimize_schedule(
     wmax = cfg.wmax
     paths = spec.num_paths
 
-    base = _base_phases(spec, cfg)
+    base = spec.conflicts.phase_masks(cfg.maximal_only)
 
     lens = [len(q) for q in s.queues]
     waits = [[v.wait for v in q] for q in s.queues]
@@ -376,7 +371,7 @@ def optimize_schedule(
     # all-feasible lists are scored by one product (see the docstring);
     # a guard target maps to its phases and, for them, their incidence rows
     incidence = None if cfg.maximal_only else spec.conflicts.incidence(False)
-    guarded: dict[int, tuple[tuple[Phase, ...], np.ndarray | None]] = {}
+    guarded: dict[int, tuple[tuple[int, ...], np.ndarray | None]] = {}
     bits = _bits
     # the clique bound prices the last block at depth k - 2 (see the
     # docstring); k = 1 never reaches it and never reads the cover
@@ -386,9 +381,9 @@ def optimize_schedule(
         last_rows = levels[k - 1][1]
 
     best_cost: int | None = None
-    best_schedule: tuple[Phase, ...] | None = None
+    best_schedule: tuple[int, ...] | None = None
     by_depth = [0] * k
-    chosen: list[Phase] = []
+    chosen: list[int] = []
 
     def dfs(depth: int, accrued: int, d: list[int], warm: int, live: int, dive: bool) -> None:
         # warm: mask of paths open in the previous block; live: mask of
@@ -448,7 +443,7 @@ def optimize_schedule(
             # closed_total, so compare the open paths' changes
             low = None
             for ph in cands:
-                m = ph.mask & live
+                m = ph & live
                 opened = bits.get(m)
                 if opened is None:
                     opened = _set_bits(m)
@@ -463,7 +458,7 @@ def optimize_schedule(
         tighten = depth == last and not dive
         terms = None
         for ph in cands:
-            m = ph.mask & live
+            m = ph & live
             opened = bits.get(m)
             if opened is None:
                 opened = _set_bits(m)
@@ -495,7 +490,7 @@ def optimize_schedule(
                 if e == lens[i]:
                     live2 &= ~(1 << i)
             chosen.append(ph)
-            dfs(depth + 1, acc, d2, ph.mask, live2, dive)
+            dfs(depth + 1, acc, d2, ph, live2, dive)
             chosen.pop()
 
     live0 = sum(1 << i for i in range(paths) if lens[i])
@@ -507,7 +502,8 @@ def optimize_schedule(
         by_depth = [0] * k
     dfs(0, 0, [0] * paths, prev_phase.mask, live0, False)
     assert best_schedule is not None and best_cost is not None
-    return Solution(best_schedule, best_cost, tuple(by_depth), time.perf_counter() - t0)
+    schedule = tuple([Phase(m, paths) for m in best_schedule])
+    return Solution(schedule, best_cost, tuple(by_depth), time.perf_counter() - t0)
 
 
 def exhaustive_oracle(
@@ -530,7 +526,7 @@ def exhaustive_oracle(
     """
     t0 = time.perf_counter()
     spec.validate_snapshot(s)
-    width = len(_base_phases(spec, cfg))
+    width = len(spec.conflicts.phase_masks(cfg.maximal_only))
     cap = DEFAULT_ORACLE_CAP
     if width ** cfg.horizon > cap:
         raise OracleTooLargeError(f"{width}^{cfg.horizon} schedules exceed the cap of {cap}")

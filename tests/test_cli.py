@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import re
 import time
@@ -156,6 +157,25 @@ def test_phases_maximal_listing(capsys):
     lines = out.splitlines()
     assert lines[-1] == "count: 12"
     assert lines[0] == "{0,1,2,3,6,9}"
+
+
+@pytest.mark.parametrize(
+    "arms, flags, digest",
+    [
+        (4, (), "128e809d047e334f3318e662c7abb4a4008e4222c647f05531e83df0456be50f"),
+        (4, ("--maximal",), "e03515b46c2387c95a002a84d9022f15fb85d89900580c93a2dbaf413341e886"),
+        (9, ("--maximal",), "18810e2cf41f1be1f6a51bcfecd8d401ddcaeb9837c8344f11ade222ea6fc6a6"),
+    ],
+    ids=["arms4", "arms4-maximal", "arms9-maximal"],
+)
+def test_phases_stdout_is_pinned(capsys, tmp_path, arms, flags, digest):
+    # every listed phase and the count, byte for byte: 335 and 12 phases
+    # on 4 arms, 156 maximal ones on 9 (the all-feasible list exits 2 there)
+    instance = tmp_path / "instance.json"
+    save_instance(IntersectionSpec.standard(arms), instance)
+    code, out, err = run_cli(capsys, "phases", "--instance", str(instance), *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_phases_on_nine_arms_exits_2_fast_but_maximal_lists(capsys, tmp_path):

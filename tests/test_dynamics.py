@@ -326,7 +326,7 @@ def test_property_step_matches_fresh_record_reference(data):
     vehicle = st.tuples(st.integers(1, 10), st.integers(0, 300))
     raw = data.draw(st.lists(st.lists(vehicle, max_size=6), min_size=12, max_size=12))
     s = snapshot_with(spec, dict(enumerate(raw)), tick=data.draw(st.integers(0, 1000)))
-    phase = data.draw(st.sampled_from((spec.all_closed(),) + spec.conflicts.feasible_phases()))
+    phase = data.draw(st.sampled_from([spec.all_closed(), *enumerate_feasible_phases(spec.conflicts)]))
     ages = data.draw(st.lists(st.integers(0, 4), min_size=12, max_size=12))
     cfg = data.draw(st.sampled_from(STEP_TIMINGS))
 

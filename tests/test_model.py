@@ -327,16 +327,12 @@ def test_property_clique_cover_is_disjoint_cliques(cm):
     rest = [i for i in range(cm.paths) if i not in seen]
     assert not any(cm.conflicts(i, j) for i, j in combinations(rest, 2))
     # a feasible phase opens at most one path of each clique
-    for phase in cm.feasible_phases():
+    for phase in enumerate_feasible_phases(cm):
         for clique in cm.clique_cover():
             assert sum(phase.is_open(i) for i in clique) <= 1
 
 
 LISTS = pytest.mark.parametrize("maximal_only", [True, False], ids=["maximal", "all-feasible"])
-
-
-def phase_list(cm, maximal_only):
-    return cm.maximal_phases() if maximal_only else cm.feasible_phases()
 
 
 @LISTS
@@ -345,10 +341,12 @@ def phase_list(cm, maximal_only):
 @example(ConflictMatrix(~np.eye(8, dtype=bool)))
 @settings(max_examples=100)
 def test_property_incidence_reads_back_open_paths(maximal_only, cm):
-    # row j marks exactly the open paths of phase j of its list; the empty
-    # graph lists every subset (one maximal phase), the complete graph
-    # singletons only
-    phases = phase_list(cm, maximal_only)
+    # row j marks exactly the open paths of phase j of its list, and the
+    # cached masks are the listed phases' masks in the same order; the
+    # empty graph lists every subset (one maximal phase), the complete
+    # graph singletons only
+    phases = enumerate_feasible_phases(cm, maximal_only)
+    assert cm.phase_masks(maximal_only) == tuple(p.mask for p in phases)
     incidence = cm.incidence(maximal_only)
     assert incidence.dtype == np.int64
     assert incidence.shape == (len(phases), cm.paths)
@@ -367,8 +365,7 @@ def test_incidence_spans_more_than_62_paths():
     cm = ConflictMatrix(data)
     incidence = cm.incidence(False)
     assert incidence.shape == (72, 70)
-    phases = cm.feasible_phases()
-    rows = {ph.mask: tuple(np.flatnonzero(r).tolist()) for ph, r in zip(phases, incidence)}
+    rows = {m: tuple(np.flatnonzero(r).tolist()) for m, r in zip(cm.phase_masks(False), incidence)}
     assert rows[1 << 0 | 1 << 69] == (0, 69)
     assert rows[1 << 63 | 1 << 64] == (63, 64)
     assert rows[1 << 69] == (69,)
@@ -377,13 +374,9 @@ def test_incidence_spans_more_than_62_paths():
 
 @LISTS
 def test_incidence_is_built_on_first_call_only(maximal_only):
-    # listing the phases builds no matrix: junction set-up that enumerates
-    # phases pays nothing for a table only f1 and the search read; f1's
-    # first call builds the maximal list's matrix alone
+    # f1's first call builds the maximal list's matrix alone
     spec = IntersectionSpec.standard(5)
     cm = spec.conflicts
-    cm.maximal_phases()
-    cm.feasible_phases()
     assert cm._incidence == {}
     decide_f1(snapshot_with(spec, {0: [(1, 0)]}), cm)
     assert list(cm._incidence) == [True]
@@ -399,15 +392,14 @@ def test_maximal_phases_match_subset_filter_on_standard_junctions(arms):
                 arms, driving_side=side, merge_conflicts=merge
             ).conflicts
             expected = brute_force_maximal_masks(cm, brute_force_feasible_masks(cm))
-            assert [p.mask for p in cm.maximal_phases()] == expected
+            assert list(cm.phase_masks(True)) == expected
 
 
 @pytest.mark.parametrize("arms", [3, 4, 5, 6, 7, 8])
 def test_maximal_phases_are_the_maximal_feasible_phases(arms):
     cm = IntersectionSpec.standard(arms).conflicts
-    feasible = [p.mask for p in cm.feasible_phases()]
-    expected = brute_force_maximal_masks(cm, feasible)
-    assert [p.mask for p in cm.maximal_phases()] == expected
+    expected = brute_force_maximal_masks(cm, list(cm.phase_masks(False)))
+    assert list(cm.phase_masks(True)) == expected
 
 
 @pytest.mark.parametrize(
@@ -416,29 +408,36 @@ def test_maximal_phases_are_the_maximal_feasible_phases(arms):
 )
 def test_standard_phase_counts(arms, feasible, maximal):
     cm = IntersectionSpec.standard(arms).conflicts
-    assert len(cm.maximal_phases()) == maximal
+    assert len(cm.phase_masks(True)) == maximal
     if feasible is not None:
-        assert len(cm.feasible_phases()) == feasible
+        assert len(cm.phase_masks(False)) == feasible
 
 
 def test_feasible_phase_cap_fits_eight_arms_not_nine():
     assert 115_967 <= MAX_FEASIBLE_PHASES < 498_175
     cm = IntersectionSpec.standard(9).conflicts
     with pytest.raises(TooManyPhasesError, match=str(MAX_FEASIBLE_PHASES)):
-        cm.feasible_phases()
+        cm.phase_masks(False)
     with pytest.raises(TooManyPhasesError):
         enumerate_feasible_phases(cm, maximal_only=False)
 
 
 def test_phase_lists_are_built_once_and_copied_out():
+    # each list's masks are built once; every listing is a fresh list of
+    # Phase objects, and listing builds no incidence matrix: junction
+    # set-up that enumerates phases pays nothing for a table only f1 and
+    # the search read
     cm = IntersectionSpec.standard().conflicts
-    assert cm.feasible_phases() is cm.feasible_phases()
-    assert cm.maximal_phases() is cm.maximal_phases()
-    listed = enumerate_feasible_phases(cm, maximal_only=False)
-    assert isinstance(listed, list)
-    listed.clear()
-    assert len(enumerate_feasible_phases(cm, maximal_only=False)) == 335
-    assert len(cm.feasible_phases()) == 335
+    for maximal_only, count in ((True, 12), (False, 335)):
+        masks = cm.phase_masks(maximal_only)
+        assert isinstance(masks, tuple) and all(type(m) is int for m in masks)
+        listed = enumerate_feasible_phases(cm, maximal_only)
+        assert isinstance(listed, list)
+        listed.clear()
+        assert len(enumerate_feasible_phases(cm, maximal_only)) == len(masks) == count
+        assert cm.phase_masks(maximal_only) is masks
+    assert cm.maximal_phases() == tuple(enumerate_feasible_phases(cm, True))
+    assert cm._incidence == {}
 
 
 def small_spec():

@@ -33,6 +33,7 @@ from greenlight import (
     SolverConfig,
     TrafficSnapshot,
     append_arrivals,
+    decide_f1,
     decode_snapshot,
     exhaustive_oracle,
     initial_green_ages,
@@ -315,6 +316,12 @@ API_ROWS = {
                                                   DynamicsConfig())),
             ("initial_green_ages", lambda: initial_green_ages(SPEC, CROSSING, DynamicsConfig())),
         )
+    },
+    **{
+        f"f1_snapshot_of_{n}_queues": (
+            lambda n=n: decide_f1(TrafficSnapshot(0, ((),) * n), SPEC.conflicts),
+            DimensionError, f"snapshot has {n} queues, matrix has 12 paths")
+        for n in (11, 13)
     },
     "decode_negative_tick": (lambda: decode_snapshot(queue_array(6), SPEC, tick=-3),
                              InvalidSpecError, "tick must be >= 0, got -3"),

@@ -11,6 +11,7 @@ from greenlight import (
     IntersectionSpec,
     Movement,
     Phase,
+    PolicyKind,
     SolverConfig,
     TrafficSnapshot,
     Turn,
@@ -23,6 +24,7 @@ from greenlight import (
     load_instance,
     optimize_schedule,
     rollout_cost,
+    run_episode,
     save_instance,
     seed_initial_queues,
     standard_movements,
@@ -32,7 +34,7 @@ from greenlight.errors import DimensionError, InvalidSpecError, OracleTooLargeEr
 import greenlight.model as model
 import greenlight.solver as solver
 from greenlight.model import _bits, _set_bits
-from greenlight.solver import _base_phases, _clique_terms, _phases_opening, _tables
+from greenlight.solver import _clique_terms, _phases_opening, _tables
 
 from helpers import lower_bound, snapshot_with, symmetric_matrix_strategy
 
@@ -143,15 +145,16 @@ def test_property_guard_always_has_a_candidate(cm, maximal_only):
         arms=4, paths=standard_movements(4)[: cm.paths], max_queue_len=2, conflicts=cm
     )
     cfg = SolverConfig(maximal_only=maximal_only, wmax=60)
-    base = _base_phases(spec, cfg)
+    base = cm.phase_masks(maximal_only)
     for i in range(cm.paths):
         opening = _phases_opening(base, i)
         assert opening
-        assert all(ph.is_open(i) for ph in opening)
+        assert all(m >> i & 1 for m in opening)
         # path i alone is overdue; every other front vehicle is one tick short
         queues = {j: [(1, 59)] for j in range(cm.paths)}
         queues[i] = [(1, 60)]
-        assert candidate_phases(spec, snapshot_with(spec, queues), cfg) == opening
+        got = candidate_phases(spec, snapshot_with(spec, queues), cfg)
+        assert got == tuple(Phase(m, cm.paths) for m in opening)
 
 
 def test_guard_disabled_ignores_waits():
@@ -285,7 +288,7 @@ def random_junction_cases(draw, max_paths=8):
         wmax=draw(st.none() | st.integers(min_value=floor + 1, max_value=floor + 12)),
         dynamics=DynamicsConfig(phase_ticks=phase_ticks, slow_start=slow_start),
     )
-    assume(len(_base_phases(spec, cfg)) ** cfg.horizon <= ORACLE_BUDGET)
+    assume(len(cm.phase_masks(cfg.maximal_only)) ** cfg.horizon <= ORACLE_BUDGET)
     top = draw(st.sampled_from((1, 5)))
     vehicle = st.builds(
         VehicleRecord, st.integers(min_value=1, max_value=top), st.integers(min_value=0, max_value=24)
@@ -295,7 +298,7 @@ def random_junction_cases(draw, max_paths=8):
             st.lists(vehicle, max_size=6).map(tuple), min_size=cm.paths, max_size=cm.paths
         )
     )
-    prev = draw(st.just(spec.all_closed()) | st.sampled_from(cm.feasible_phases()))
+    prev = draw(st.just(spec.all_closed()) | st.sampled_from(enumerate_feasible_phases(cm)))
     return spec, TrafficSnapshot(0, tuple(queues)), prev, cfg
 
 
@@ -400,7 +403,7 @@ def test_search_bound_is_admissible_and_above_lower_bound(case, rest):
     ]
     # maximal continuations reach the unrestricted optimum
     free = SolverConfig(horizon=rest, wmax=None, dynamics=dyn)
-    for first in spec.conflicts.feasible_phases():
+    for first in enumerate_feasible_phases(spec.conflicts):
         bound = 0
         for i, (_, cold_bound, cold, warm) in enumerate(tables):
             bound += cold_bound[0][0]
@@ -470,7 +473,7 @@ def test_clique_bound_lies_between_path_bound_and_best_continuation(case):
     # last-block costs from rollout_cost, which shares no code with the
     # tables, and against the exact best continuation, after every
     # feasible first phase
-    check_last_block_bounds(*case, case[0].conflicts.feasible_phases())
+    check_last_block_bounds(*case, enumerate_feasible_phases(case[0].conflicts))
 
 
 def test_clique_bound_on_guard_states_of_the_default_junction():
@@ -508,11 +511,11 @@ def test_search_matches_oracle_on_a_loaded_explicit_matrix(tmp_path):
     spec = load_instance(str(path))
     assert np.array_equal(spec.conflicts.as_array(), data)
     assert max(len(c) for c in spec.conflicts.clique_cover()) >= 3
-    feasible = spec.conflicts.feasible_phases()
+    feasible = enumerate_feasible_phases(spec.conflicts)
     checked = 0
     for horizon in (2, 3):
         for maximal_only in (True, False):
-            width = len(spec.conflicts.maximal_phases() if maximal_only else feasible)
+            width = len(spec.conflicts.phase_masks(maximal_only))
             if width**horizon > 1500:
                 continue
             for snapshot in range(6):
@@ -645,6 +648,39 @@ def test_prefixing_previous_best_is_admissible():
         assert full.cost <= extended
 
 
+# Seeded drain instances of the default junction with short queues, as
+# (max_queue_len, intensity, seed); chosen before any was solved
+DRAIN_OPTIMUM_CASES = [(3, 0.5, 0), (3, 1.0, 1), (4, 0.5, 2), (4, 1.0, 3)]
+
+
+@pytest.mark.parametrize("max_queue_len, intensity, seed", DRAIN_OPTIMUM_CASES)
+def test_full_drain_optimum_bounds_the_horizon_controller(max_queue_len, intensity, seed):
+    # A drain episode has no arrivals, so it is one planning problem. With
+    # the guard off, raise k until the optimal plan empties every queue:
+    # that plan is optimal for the whole episode, since any longer
+    # schedule costs at least its first k blocks. Replayed through
+    # rollout_cost, every plan costs what the search reported. A queued
+    # vehicle pays its priority each tick, so the controller's episode
+    # costs the sum of priority x wait over its wait log, and no
+    # controller, the guarded k = 3 one included, can go below the optimum.
+    spec = IntersectionSpec.standard(max_queue_len=max_queue_len)
+    sim = SimConfig(spec=spec, intensity=intensity, seed=seed)
+    s = seed_initial_queues(sim)
+    prev = spec.all_closed()
+    for k in range(1, 13):
+        cfg = SolverConfig(horizon=k, wmax=None)
+        optimum = optimize_schedule(spec, s, prev, cfg)
+        cost, after = rollout_cost(spec, s, optimum.schedule, prev, cfg.dynamics)
+        assert cost == optimum.cost
+        if after.is_empty():
+            break
+    else:
+        pytest.fail("no plan of up to 12 blocks drains every queue")
+    stats, log = run_episode(sim, PolicyKind.HORIZON)
+    assert stats.terminated and len(log) == sum(map(len, s.queues))
+    assert sum(e.priority * e.wait_ticks for e in log) >= optimum.cost
+
+
 @pytest.mark.parametrize("prev", [Phase(0b111, 3), Phase(1, 20)])
 def test_prev_phase_of_the_wrong_width_is_rejected(prev):
     spec = IntersectionSpec.standard(max_queue_len=4)
@@ -757,7 +793,7 @@ def test_table_memo_stays_bounded_after_drain_sweep(tmp_path):
 def width_inputs(rng, spec, snapshots=2):
     """Seeded snapshots of `spec` with a random subset of paths emptied,
     each with a random feasible (or all-closed) previous phase."""
-    feasible = (spec.all_closed(),) + spec.conflicts.feasible_phases()
+    feasible = [spec.all_closed(), *enumerate_feasible_phases(spec.conflicts)]
     out = []
     for seed in range(snapshots):
         full = seed_initial_queues(SimConfig(spec=spec, intensity=1.0, seed=seed))
@@ -778,7 +814,7 @@ def test_search_matches_oracle_across_widths_sharing_the_bit_index():
         for spec in order:
             for maximal_only in (True, False):
                 conflicts = spec.conflicts
-                n = len(conflicts.maximal_phases() if maximal_only else conflicts.feasible_phases())
+                n = len(conflicts.phase_masks(maximal_only))
                 for k in (1, 2, 3):
                     # deeper plans only while the oracle enumerates at
                     # most 1,500 schedules, to keep its rollouts quick
