@@ -113,19 +113,11 @@ def _policy_list(text: str) -> tuple[PolicyKind, ...]:
     return tuple(out)
 
 
-def _add_dynamics_flags(p: argparse.ArgumentParser, seconds: bool = True) -> None:
-    """The timing flags; only commands that report seconds take --tick-seconds."""
-    dyn = DynamicsConfig()
+def _add_plan_flags(p: argparse.ArgumentParser) -> None:
+    """The timing and search flags of optimize, simulate and sweep."""
+    dyn, cfg = DynamicsConfig(), SolverConfig()
     p.add_argument("--phase-ticks", type=int, default=dyn.phase_ticks, help="ticks each phase is held")
     p.add_argument("--slow-start", type=int, default=dyn.slow_start, help="departure-free ticks after a path turns green")
-    if seconds:
-        p.add_argument("--tick-seconds", type=float, default=dyn.tick_seconds, help="seconds per tick, reporting only")
-    else:
-        p.set_defaults(tick_seconds=dyn.tick_seconds)
-
-
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    cfg = SolverConfig()
     p.add_argument("--horizon", type=int, default=cfg.horizon, help="number of phases planned jointly")
     p.add_argument("--wmax", type=int, default=cfg.wmax, help="starvation threshold in ticks; 0 disables the guard")
     p.add_argument(
@@ -138,11 +130,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 def _solver_from(args: argparse.Namespace) -> SolverConfig:
     """The solver settings, carrying the one DynamicsConfig a command uses."""
-    dyn = DynamicsConfig(
-        phase_ticks=args.phase_ticks,
-        slow_start=args.slow_start,
-        tick_seconds=args.tick_seconds,
-    )
+    dyn = DynamicsConfig(args.phase_ticks, args.slow_start)
     wmax = None if args.wmax == 0 else args.wmax
     return SolverConfig(
         horizon=args.horizon,
@@ -305,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="plan a k-phase schedule for one snapshot")
     p_opt.add_argument("--instance", required=True, help="junction JSON file")
     p_opt.add_argument("--snapshot", required=True, help="queue snapshot JSON file")
-    _add_dynamics_flags(p_opt, seconds=False)
-    _add_solver_flags(p_opt)
+    _add_plan_flags(p_opt)
     p_opt.add_argument("--out", help="write a JSON report here")
     p_opt.set_defaults(fn=cmd_optimize)
 
@@ -316,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mode", default="drain", choices=[m.value for m in SimMode])
     p_sim.add_argument("--intensity", type=float, required=True, help="load level in [0, 1]")
     p_sim.add_argument("--seed", type=int, default=0)
-    _add_dynamics_flags(p_sim)
-    _add_solver_flags(p_sim)
+    _add_plan_flags(p_sim)
     p_sim.add_argument("--out", help="write the per-vehicle wait log CSV here")
     p_sim.set_defaults(fn=cmd_simulate)
 
@@ -339,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of horizon,f1,f2",
     )
     p_sweep.add_argument("--mode", default="drain", choices=[m.value for m in SimMode])
-    _add_dynamics_flags(p_sweep)
-    _add_solver_flags(p_sweep)
+    _add_plan_flags(p_sweep)
     p_sweep.add_argument("--out", help="write the CSV here instead of stdout")
     p_sweep.set_defaults(fn=cmd_sweep)
 

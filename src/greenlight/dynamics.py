@@ -8,7 +8,6 @@ therefore accumulate priority-weighted completed waiting ticks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,14 +19,12 @@ from .model import IntersectionSpec, Phase, TrafficSnapshot, VehicleRecord, _che
 class DynamicsConfig:
     """Timing parameters shared by the planner and the simulator.
 
-    phase_ticks is how long every scheduled phase is held, slow_start is
-    the number of departure-free ticks after a path turns green, and
-    tick_seconds converts tick counts to real time for reporting only.
+    phase_ticks is how long every scheduled phase is held and slow_start is
+    the number of departure-free ticks after a path turns green.
     """
 
     phase_ticks: int = 4
     slow_start: int = 1
-    tick_seconds: float = 5.0
 
     def __post_init__(self) -> None:
         if self.phase_ticks < 1:
@@ -38,8 +35,6 @@ class DynamicsConfig:
         # least one vehicle, which drain liveness depends on.
         if self.slow_start >= self.phase_ticks:
             raise InvalidSpecError("slow_start must be smaller than phase_ticks")
-        if not (math.isfinite(self.tick_seconds) and self.tick_seconds > 0):
-            raise InvalidSpecError("tick_seconds must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -267,6 +267,9 @@ class ConflictMatrix:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ConflictMatrix) and self._neighbors == other._neighbors
 
+    def __hash__(self) -> int:
+        return hash(self._neighbors)
+
     def __repr__(self) -> str:
         return f"ConflictMatrix(paths={self.paths}, pairs={len(self.pairs())})"
 

@@ -30,6 +30,7 @@ from .solver import SolverConfig
 
 PRIORITY_CLASSES: tuple[tuple[int, float], ...] = ((10, 0.02), (3, 0.08), (1, 0.90))
 ARRIVAL_RATE_SCALE = 0.3
+TICK_SECONDS = 5.0
 TICK_CAP = 100_000
 _DRAW_BLOCK = 4096
 
@@ -70,6 +71,7 @@ class EpisodeStats:
 
     mean_wait and std_wait are unweighted over departures (std is the
     population standard deviation); both are 0.0 when nothing departed.
+    mean_wait_seconds is mean_wait times TICK_SECONDS, for reporting.
     starvation_events counts vehicles, departed or still queued at the
     end, whose wait exceeded the starvation threshold. terminated means
     the episode ended by its own rule rather than the safety cap.
@@ -283,7 +285,7 @@ def run_episode(
         )
     stats = EpisodeStats(
         mean_wait=mean,
-        mean_wait_seconds=mean * dyn.tick_seconds,
+        mean_wait_seconds=mean * TICK_SECONDS,
         std_wait=std,
         max_wait=peak,
         throughput=len(log),

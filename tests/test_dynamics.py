@@ -34,7 +34,6 @@ def test_config_defaults():
     cfg = DynamicsConfig()
     assert cfg.phase_ticks == 4
     assert cfg.slow_start == 1
-    assert cfg.tick_seconds == 5.0
 
 
 def test_config_rejects_slow_start_not_below_phase_ticks():
@@ -48,14 +47,6 @@ def test_config_rejects_slow_start_not_below_phase_ticks():
 def test_config_rejects_nonpositive_phase_ticks():
     with pytest.raises(InvalidSpecError):
         DynamicsConfig(phase_ticks=0, slow_start=0)
-
-
-@pytest.mark.parametrize("seconds", [0.0, -5.0, float("nan"), float("inf"), float("-inf")])
-def test_config_rejects_tick_seconds_not_finite_and_positive(seconds):
-    # nan compares false with 0 and inf is positive: neither may reach
-    # mean_wait_seconds
-    with pytest.raises(InvalidSpecError, match="tick_seconds"):
-        DynamicsConfig(tick_seconds=seconds)
 
 
 def test_step_closed_path_only_ages():

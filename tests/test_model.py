@@ -266,6 +266,7 @@ def test_property_conflict_matrix_reads_back_its_array(a, b):
             assert cm.conflicts(i, j) == a[i, j]
             assert cm.neighbor_masks()[i] >> j & 1 == a[i, j]
     assert cm == ConflictMatrix(a.copy())
+    assert hash(cm) == hash(ConflictMatrix(a.copy()))
     assert (cm == ConflictMatrix(b)) == np.array_equal(a, b)
 
 

@@ -182,8 +182,6 @@ CLI_ROWS = {
     "optimize_out_in_missing_dir": (f"{OPTIMIZE} --out {{tmp}}/missing/report.json",
                                     "error: {tmp}/missing/report.json: No such file or directory"),
     "optimize_out_is_a_dir": (f"{OPTIMIZE} --out {{tmp}}/a_dir", "error: {tmp}/a_dir: Is a directory"),
-    "optimize_tick_seconds": (f"{OPTIMIZE} --tick-seconds 5",
-                              "greenlight: error: unrecognized arguments: --tick-seconds 5"),
     "optimize_malformed_snapshot": ("optimize --instance {instance} --snapshot {tmp}/gap.json",
                                     "error: queue 0: empty slot before an occupied one"),
     "optimize_negative_tick": ("optimize --instance {instance} --snapshot {tmp}/tick.json",
@@ -222,11 +220,11 @@ CLI_ROWS = {
         "greenlight sweep: error: argument --policy: unknown policy 'x'; expected horizon, f1, f2"),
     "sweep_policy_empty": (f"{SWEEP} --policy ,",
                            "greenlight sweep: error: argument --policy: empty policy list"),
+    # seconds are ticks times simulator.TICK_SECONDS; no command sets them
     **{
-        f"{cmd}_{seconds}_tick_seconds": (f"{argv} --tick-seconds {seconds} --out {{tmp}}/out.csv",
-                                          "error: tick_seconds must be finite and positive")
-        for cmd, argv in (("simulate", SIMULATE), ("sweep", SWEEP))
-        for seconds in ("nan", "inf")
+        f"{cmd}_tick_seconds": (f"{argv} --tick-seconds 5",
+                                "greenlight: error: unrecognized arguments: --tick-seconds 5")
+        for cmd, argv in (("optimize", OPTIMIZE), ("simulate", SIMULATE), ("sweep", SWEEP))
     },
 }
 CLI_FILES = {

@@ -43,6 +43,12 @@ def test_sim_config_validation():
         SimConfig(spec=spec, intensity=1.5)
 
 
+def test_frozen_spec_and_sim_config_hash():
+    spec = IntersectionSpec.standard()
+    assert hash(spec) == hash(IntersectionSpec.standard())
+    assert hash(SimConfig(spec, 0.5)) == hash(SimConfig(IntersectionSpec.standard(), 0.5))
+
+
 def test_seed_zero_intensity_is_empty():
     cfg = SimConfig(spec=spec12(10), intensity=0.0)
     assert seed_initial_queues(cfg).is_empty()
@@ -273,16 +279,13 @@ def test_wait_log_is_internally_consistent():
 
 def test_stats_agree_with_second_pass_over_log():
     cfg = SimConfig(spec=spec12(10), intensity=0.75, seed=21)
-    solver_cfg = SolverConfig(dynamics=DynamicsConfig(tick_seconds=2.5))
-    stats, log = run_episode(cfg, PolicyKind.F2, solver_cfg)
+    stats, log = run_episode(cfg, PolicyKind.F2)
     waits = [e.wait_ticks for e in log]
     assert stats.throughput == len(waits)
     assert math.isclose(stats.mean_wait, float(np.mean(waits)), rel_tol=1e-12)
     assert math.isclose(stats.std_wait, float(np.std(waits)), rel_tol=1e-12)
     assert stats.max_wait == max(waits)
-    assert math.isclose(
-        stats.mean_wait_seconds, stats.mean_wait * solver_cfg.dynamics.tick_seconds
-    )
+    assert stats.mean_wait_seconds == stats.mean_wait * simulator.TICK_SECONDS
 
 
 def test_starvation_events_counted_from_threshold():
@@ -430,7 +433,7 @@ def reference_episode(cfg, policy, solver_cfg=None):
         )
     stats = EpisodeStats(
         mean_wait=mean,
-        mean_wait_seconds=mean * dyn.tick_seconds,
+        mean_wait_seconds=mean * simulator.TICK_SECONDS,
         std_wait=float(np.std(waits)) if waits else 0.0,
         max_wait=max(waits, default=0),
         throughput=len(log),
