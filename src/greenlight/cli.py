@@ -120,24 +120,14 @@ def _add_plan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--slow-start", type=int, default=dyn.slow_start, help="departure-free ticks after a path turns green")
     p.add_argument("--horizon", type=int, default=cfg.horizon, help="number of phases planned jointly")
     p.add_argument("--wmax", type=int, default=cfg.wmax, help="starvation threshold in ticks; 0 disables the guard")
-    p.add_argument(
-        "--maximal",
-        action=argparse.BooleanOptionalAction,
-        default=cfg.maximal_only,
-        help="restrict candidates to maximal feasible phases",
-    )
 
 
 def _solver_from(args: argparse.Namespace) -> SolverConfig:
-    """The solver settings, carrying the one DynamicsConfig a command uses."""
+    """The solver settings, carrying the one DynamicsConfig a command uses.
+    Every command plans on the maximal phases, `SolverConfig`'s default."""
     dyn = DynamicsConfig(args.phase_ticks, args.slow_start)
     wmax = None if args.wmax == 0 else args.wmax
-    return SolverConfig(
-        horizon=args.horizon,
-        maximal_only=args.maximal,
-        wmax=wmax,
-        dynamics=dyn,
-    )
+    return SolverConfig(horizon=args.horizon, wmax=wmax, dynamics=dyn)
 
 
 def _check_out_dir(out: str | None) -> None:

@@ -39,12 +39,17 @@ class DynamicsConfig:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """One tick's next state, departures, cost and next green ages."""
+    """One tick's next state, departures and next green ages. The episode
+    loop never reads the tick's cost, so it is summed only when read."""
 
     next: TrafficSnapshot
     departed: tuple[tuple[int, VehicleRecord], ...]
-    tick_cost: int
     green_age: tuple[int, ...]
+
+    @property
+    def tick_cost(self) -> int:
+        """The total priority still queued after the tick."""
+        return sum([v.priority for q in self.next.queues for v in q])
 
 
 @lru_cache(maxsize=1 << 16)
@@ -103,7 +108,6 @@ def step(
     return StepOutcome(
         next=TrafficSnapshot(tick=s.tick + 1, queues=tuple(next_queues)),
         departed=tuple(departed),
-        tick_cost=sum([v.priority for q in next_queues for v in q]),
         green_age=tuple([a + 1 if mask >> i & 1 else 0 for i, a in enumerate(green_age)]),
     )
 

@@ -64,6 +64,10 @@ class SolverConfig:
     mode that bounds every wait by wmax + phase_ticks x paths (108 ticks
     on the default junction), which C6 checks. It watches front vehicles
     only, so under steady overload a deep queue can outlast it.
+
+    The command line plans on the maximal phases only. Only Python plans
+    over every feasible phase, as `SolverConfig(maximal_only=False)`;
+    the benchmark's plan_wide workload measures that mode.
     """
 
     horizon: int = 3

@@ -336,19 +336,27 @@ def test_c7_horizon_benefit():
 
 
 def test_c8_runtime_envelope():
-    # single planning call on a packed 10-car junction: median under 1s
+    # single planning call on a packed 10-car junction: median under 1s.
+    # The node counts pin the maximal k = 3 search, the mode every
+    # command plans on, outside the golden files
     spec = IntersectionSpec.standard(max_queue_len=10)
     cfg = SolverConfig()
     elapsed = []
+    by_depth = [0] * cfg.horizon
     for seed in range(50):
         sim = SimConfig(spec=spec, intensity=1.0, seed=seed)
         s = seed_initial_queues(sim)
         sol = optimize_schedule(spec, s, spec.all_closed(), cfg)
         elapsed.append(sol.elapsed_seconds)
+        by_depth = [a + b for a, b in zip(by_depth, sol.nodes_by_depth)]
     median = statistics.median(elapsed)
     ok = median < 1.0
-    print(f"ACCEPTANCE C8 runtime envelope: {verdict(ok)} (median {median * 1000:.1f}ms)")
+    print(
+        f"ACCEPTANCE C8 runtime envelope: {verdict(ok)} "
+        f"(median {median * 1000:.1f}ms, {sum(by_depth)} nodes)"
+    )
     assert ok
+    assert (sum(by_depth), by_depth) == (10476, [600, 7200, 2676])
 
 
 def test_c9_invariant_suites(tmp_path, capsys):

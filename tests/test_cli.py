@@ -109,10 +109,7 @@ def test_optimize_empty_snapshot_costs_zero(capsys, tmp_path):
     assert "cost: 0" in out.splitlines()
 
 
-@pytest.mark.parametrize("maximal", ["--maximal", "--no-maximal"])
-def test_optimize_guard_on_complete_conflict_graph_opens_overdue_path(
-    capsys, tmp_path, maximal
-):
+def test_optimize_guard_on_complete_conflict_graph_opens_overdue_path(capsys, tmp_path):
     # the worst case for the starvation guard: every pair of the 12 paths
     # conflicts, so the only phases are the single-path ones, maximal and
     # all-feasible alike; one vehicle on the last path is overdue, and
@@ -125,14 +122,13 @@ def test_optimize_guard_on_complete_conflict_graph_opens_overdue_path(
     snap = tmp_path / "overdue.json"
     snap.write_text(json.dumps({"tick": 0, "queues": [[[5, 0]] * 6] + [[]] * 10 + [[[1, 60]]]}))
     code, out, err = run_cli(
-        capsys, "optimize", "--instance", str(instance), "--snapshot", str(snap), maximal
+        capsys, "optimize", "--instance", str(instance), "--snapshot", str(snap)
     )
     assert (code, err) == (0, "")
     assert out.splitlines()[0] == "phase 1: open 11"
     # without the guard the planner serves path 0 first
     code, out, _ = run_cli(
-        capsys, "optimize", "--instance", str(instance), "--snapshot", str(snap), maximal,
-        "--wmax", "0",
+        capsys, "optimize", "--instance", str(instance), "--snapshot", str(snap), "--wmax", "0"
     )
     assert (code, out.splitlines()[0]) == (0, "phase 1: open 0")
 

@@ -220,11 +220,13 @@ CLI_ROWS = {
         "greenlight sweep: error: argument --policy: unknown policy 'x'; expected horizon, f1, f2"),
     "sweep_policy_empty": (f"{SWEEP} --policy ,",
                            "greenlight sweep: error: argument --policy: empty policy list"),
-    # seconds are ticks times simulator.TICK_SECONDS; no command sets them
+    # seconds are ticks times simulator.TICK_SECONDS, and every command
+    # plans on the maximal phases; no command sets either
     **{
-        f"{cmd}_tick_seconds": (f"{argv} --tick-seconds 5",
-                                "greenlight: error: unrecognized arguments: --tick-seconds 5")
+        f"{cmd}_{name}": (f"{argv} --{flag}", f"greenlight: error: unrecognized arguments: --{flag}")
         for cmd, argv in (("optimize", OPTIMIZE), ("simulate", SIMULATE), ("sweep", SWEEP))
+        for name, flag in (("tick_seconds", "tick-seconds 5"), ("maximal", "maximal"),
+                           ("no_maximal", "no-maximal"))
     },
 }
 CLI_FILES = {
