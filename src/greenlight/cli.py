@@ -29,7 +29,7 @@ from .fileio import (
     load_snapshot,
     write_wait_log,
 )
-from .model import IntersectionSpec, _check_intensity, enumerate_feasible_phases
+from .model import IntersectionSpec, _as_enum, _check_intensity, enumerate_feasible_phases
 from .policies import PolicyKind
 from .simulator import EpisodeStats, SimConfig, SimMode, WaitLogEntry, run_episode
 from .solver import SolverConfig, optimize_schedule
@@ -55,6 +55,8 @@ class SweepSpec:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
+        policies = tuple(_as_enum(PolicyKind, p, "policy") for p in self.policies)
+        object.__setattr__(self, "policies", policies)
         if self.runs < 1:
             raise GreenlightError("runs must be >= 1")
         if not self.intensities:

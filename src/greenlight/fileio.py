@@ -183,9 +183,9 @@ def _instance_spec(data) -> IntersectionSpec:
     matrix = data.get("conflict_matrix")
     return IntersectionSpec(
         arms=data["arms"],
-        paths=tuple(Movement(p["entry"], Turn(p["turn"])) for p in data["paths"]),
+        paths=tuple(Movement(p["entry"], p["turn"]) for p in data["paths"]),
         max_queue_len=data["max_queue_len"],
-        driving_side=DrivingSide(data.get("driving_side", "left")),
+        driving_side=data.get("driving_side", "left"),
         merge_conflicts=data.get("merge_conflicts", False),
         conflicts=None if matrix is None else ConflictMatrix(np.array(matrix, dtype=bool)),
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from math import ceil
+from typing import TypeVar
 
 import numpy as np
 
@@ -56,12 +57,32 @@ class DrivingSide(str, Enum):
     RIGHT = "right"
 
 
+_E = TypeVar("_E", bound=Enum)
+
+
+def _as_enum(kind: type[_E], token: object, name: str) -> _E:
+    """`token` as a member of the str enum `kind`: a member, or its value.
+
+    Every entry point that takes a Turn, DrivingSide, SimMode or
+    PolicyKind converts its token here, so the code behind it can compare
+    members by identity. An unknown token raises InvalidSpecError.
+    """
+    try:
+        return kind(token)
+    except ValueError:
+        expected = ", ".join(m.value for m in kind)
+        raise InvalidSpecError(f"unknown {name} {token!r}; expected {expected}") from None
+
+
 @dataclass(frozen=True)
 class Movement:
     """One traffic path: vehicles entering at entry_arm and turning `turn`."""
 
     entry_arm: int
     turn: Turn
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "turn", _as_enum(Turn, self.turn, "turn"))
 
 
 def exit_arm(movement: Movement, arms: int, side: DrivingSide = DrivingSide.LEFT) -> int:
@@ -71,6 +92,7 @@ def exit_arm(movement: Movement, arms: int, side: DrivingSide = DrivingSide.LEFT
     exits two arms over, and a right turn exits the previous arm; the mapping
     is mirrored for right-hand driving.
     """
+    side = _as_enum(DrivingSide, side, "driving side")
     if arms < MIN_ARMS:
         raise InvalidGeometryError(f"need at least {MIN_ARMS} arms, got {arms}")
     if not 0 <= movement.entry_arm < arms:
@@ -165,8 +187,8 @@ class ConflictMatrix:
     path, which every accessor reads. Derived structures (the maximal and
     all-feasible phase lists as int masks, one incidence matrix per list,
     the clique cover) are computed lazily, at most once per matrix, and
-    cached, as are the masks `is_feasible_phase` has accepted. No `Phase`
-    is cached: `maximal_phases()` builds fresh ones from the masks.
+    cached; nothing is kept per phase. No `Phase` is cached:
+    `maximal_phases()` builds fresh ones from the masks.
     """
 
     def __init__(self, data: np.ndarray):
@@ -185,7 +207,6 @@ class ConflictMatrix:
         self._masks: dict[bool, tuple[int, ...]] = {}  # keyed by maximal_only
         self._incidence: dict[bool, np.ndarray] = {}  # keyed by maximal_only
         self._cliques: tuple[tuple[int, ...], ...] | None = None
-        self._proven_feasible: set[int] = set()  # masks is_feasible_phase accepted
 
     @property
     def paths(self) -> int:
@@ -299,6 +320,7 @@ def build_conflict_matrix(
     merging into the same exit arm conflict only when `merge_conflicts`
     is set.
     """
+    side = _as_enum(DrivingSide, side, "driving side")
     n = len(paths)
     exits = _path_exits(arms, paths, side)
     data = np.zeros((n, n), dtype=bool)
@@ -322,17 +344,14 @@ def build_conflict_matrix(
 
 
 def is_feasible_phase(phase: Phase, conflicts: ConflictMatrix) -> bool:
-    """True when no two open paths conflict; accepted masks are remembered on the matrix."""
+    """True when no two open paths conflict, read from the neighbour masks."""
     if phase.width != conflicts.paths:
         raise DimensionError(f"phase width {phase.width} != matrix size {conflicts.paths}")
-    mask = phase.mask
-    if mask in conflicts._proven_feasible:
-        return True
     neighbors = conflicts.neighbor_masks()
+    mask = phase.mask
     for i in phase.open_paths():
         if neighbors[i] & mask:
             return False
-    conflicts._proven_feasible.add(mask)
     return True
 
 
@@ -495,6 +514,8 @@ class IntersectionSpec:
     conflicts: ConflictMatrix = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        side = _as_enum(DrivingSide, self.driving_side, "driving side")
+        object.__setattr__(self, "driving_side", side)
         if self.arms < MIN_ARMS:
             raise InvalidGeometryError(f"need at least {MIN_ARMS} arms")
         if not self.paths:

@@ -11,14 +11,16 @@ in the same order as scalar draws, so the stream is unchanged.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
 from .dynamics import _record, initial_green_ages, step
 from .errors import InvalidSpecError
-from .model import IntersectionSpec, TrafficSnapshot, VehicleRecord, _check_intensity
+from .model import IntersectionSpec, TrafficSnapshot, VehicleRecord, _as_enum, _check_intensity
 from .policies import (
     ControllerState,
     PolicyKind,
@@ -58,6 +60,7 @@ class SimConfig:
     episode_ticks: int = 500
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", _as_enum(SimMode, self.mode, "mode"))
         _check_intensity(self.intensity)
         if self.seed < 0:
             raise InvalidSpecError("seed must be nonnegative")
@@ -111,21 +114,10 @@ def _priority_of(u: float, classes: tuple[tuple[int, float], ...]) -> int:
     return classes[-1][0]
 
 
-class _BufferedUniforms:
-    """`rng.random()` served from `rng.random(_DRAW_BLOCK)` blocks, each drawn when needed."""
-
-    __slots__ = ("_rng", "_it")
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-        self._it = iter(())
-
-    def random(self) -> float:
-        try:
-            return next(self._it)
-        except StopIteration:
-            self._it = iter(self._rng.random(_DRAW_BLOCK).tolist())
-            return next(self._it)
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """`rng.random()`'s doubles from `_DRAW_BLOCK` blocks, each drawn at its first `next`."""
+    while True:
+        yield from rng.random(_DRAW_BLOCK).tolist()
 
 
 def seed_initial_queues(cfg: SimConfig, rng: np.random.Generator | None = None) -> TrafficSnapshot:
@@ -217,6 +209,7 @@ def run_episode(
     at a time in stream order: the uniforms scalar draws would give, and
     none at all in a drain episode.
     """
+    policy = _as_enum(PolicyKind, policy, "policy")
     spec = cfg.spec
     if solver_cfg is None:
         solver_cfg = SolverConfig()
@@ -224,7 +217,7 @@ def run_episode(
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     state = seed_initial_queues(cfg, rng)
-    draws = _BufferedUniforms(rng)
+    draws = SimpleNamespace(random=_uniforms(rng).__next__)
     phase = spec.all_closed()
     st = ControllerState(phase)
     ages = initial_green_ages(spec, phase, dyn)

@@ -1,9 +1,11 @@
 """Junctions, snapshots, references and hypothesis strategies shared by the test modules."""
 
+from functools import cache
+
 import numpy as np
 from hypothesis import strategies as st
 
-from greenlight import ConflictMatrix, IntersectionSpec, TrafficSnapshot, VehicleRecord
+from greenlight import ConflictMatrix, IntersectionSpec, Phase, TrafficSnapshot, VehicleRecord
 from greenlight.errors import InvalidSpecError
 
 
@@ -35,6 +37,62 @@ def lower_bound(s: TrafficSnapshot, remaining_ticks: int) -> int:
         for j, v in enumerate(q):
             total += v.priority * min(j, remaining_ticks)
     return total
+
+
+def bellman_plan(spec, s, prev_phase, cfg):
+    """The optimal k-block plan by Bellman's recursion (Bellman 1957), as (cost, schedule).
+
+    A tick's cost is the priority still queued, so after j blocks the cost
+    of the rest of a plan depends only on j, each path's departed count and
+    the previous phase. The guard reads front waits, and a front wait is the
+    snapshot's wait at the departed count plus j x phase_ticks, so it is a
+    function of the same state. Candidates are tried in ascending mask order
+    and a value is replaced only by a strictly lower one, which keeps the
+    lexicographically smallest optimum, the search's tie-break. One block of
+    one path is priced by a plain tick loop, so nothing is shared with the
+    solver's tables or with `step`.
+    """
+    ticks, slow = cfg.dynamics.phase_ticks, cfg.dynamics.slow_start
+    paths = spec.num_paths
+    priorities = [[v.priority for v in q] for q in s.queues]
+    waits = [[v.wait for v in q] for q in s.queues]
+    masks = spec.conflicts.phase_masks(cfg.maximal_only)
+
+    @cache
+    def block(i, departed, warm, open_):
+        """Path i's cost over one block and its departed count after it."""
+        cost = 0
+        for t in range(ticks):
+            # a warm path has been green slow ticks already when the block starts
+            if open_ and departed < len(priorities[i]) and (warm or t >= slow):
+                departed += 1
+            cost += sum(priorities[i][departed:])
+        return cost, departed
+
+    @cache
+    def best(j, departed, prev):
+        """The cheapest (cost, masks) from block j, lexicographically first on ties."""
+        if j == cfg.horizon:
+            return 0, ()
+        candidates = masks
+        if cfg.wmax is not None:
+            # longest front wait first, then lowest path index
+            fronts = [(waits[i][d] + j * ticks, -i) for i, d in enumerate(departed)
+                      if d < len(waits[i])]
+            wait, neg = max(fronts, default=(-1, 0))
+            if wait >= cfg.wmax:
+                candidates = [m for m in masks if m >> -neg & 1]
+        found = None
+        for m in candidates:
+            priced = [block(i, departed[i], prev >> i & 1, m >> i & 1) for i in range(paths)]
+            rest, tail = best(j + 1, tuple(d for _, d in priced), m)
+            total = sum(c for c, _ in priced) + rest
+            if found is None or total < found[0]:
+                found = (total, (m,) + tail)
+        return found
+
+    cost, schedule = best(0, (0,) * paths, prev_phase.mask)
+    return cost, tuple(Phase(m, paths) for m in schedule)
 
 
 def symmetric_array_strategy(max_paths=10):

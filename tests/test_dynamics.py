@@ -110,7 +110,7 @@ def test_step_rejects_infeasible_phase():
 
 
 def test_feasible_phase_stepped_first_does_not_admit_an_infeasible_one():
-    # paths 1 and 4 each pass alone and are remembered; their union
+    # paths 1 and 4 each pass alone, stepped repeatedly; their union
     # conflicts and must still be refused on the same matrix
     spec = spec12()
     for mask in (1 << 1, 1 << 4):

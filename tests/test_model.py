@@ -171,13 +171,13 @@ def test_crossing_straights_make_infeasible_phase():
 
 def test_is_feasible_phase_width_mismatch():
     spec = IntersectionSpec.standard()
-    # mask 1 is remembered as feasible at width 12; width 3 is still refused
+    # mask 1 is feasible at width 12; width 3 is still refused
     assert is_feasible_phase(Phase(1, 12), spec.conflicts)
     with pytest.raises(DimensionError):
         is_feasible_phase(Phase(1, 3), spec.conflicts)
 
 
-def test_feasibility_memo_belongs_to_its_matrix():
+def test_feasibility_of_one_phase_is_read_from_each_matrix():
     free = ConflictMatrix(np.zeros((3, 3), dtype=bool))
     clash = np.zeros((3, 3), dtype=bool)
     clash[0, 1] = clash[1, 0] = True

@@ -28,19 +28,23 @@ from greenlight import (
     ConflictMatrix,
     DynamicsConfig,
     IntersectionSpec,
+    Movement,
     Phase,
     SimConfig,
     SolverConfig,
     TrafficSnapshot,
     append_arrivals,
+    build_conflict_matrix,
     decide_f1,
     decode_snapshot,
     exhaustive_oracle,
+    exit_arm,
     initial_green_ages,
     load_instance,
     load_snapshot,
     optimize_schedule,
     rollout_cost,
+    run_episode,
     save_instance,
     save_snapshot,
     standard_movements,
@@ -330,6 +334,24 @@ API_ROWS = {
                              "at least one intensity required"),
     "sweep_no_policies": (lambda: cli.SweepSpec(policies=()), GreenlightError,
                           "at least one policy required"),
+    # a token that names no Turn, DrivingSide, SimMode or PolicyKind value
+    **{
+        name: (call, InvalidSpecError, fragment)
+        for name, fragment, call in (
+            ("movement_unknown_turn", "unknown turn 'U'", lambda: Movement(0, "U")),
+            ("exit_arm_unknown_side", "unknown driving side 'middle'",
+             lambda: exit_arm(MOVES[0], 4, "middle")),
+            ("conflict_matrix_unknown_side", "unknown driving side 'up'",
+             lambda: build_conflict_matrix(4, MOVES, "up")),
+            ("spec_unknown_side", "unknown driving side 'Left'",
+             lambda: IntersectionSpec(4, MOVES, 1, driving_side="Left")),
+            ("sim_unknown_mode", "unknown mode 'burst'", lambda: SimConfig(SPEC, 0.5, mode="burst")),
+            ("sweep_spec_unknown_policy", "unknown policy 'f3'",
+             lambda: cli.SweepSpec(policies=("f1", "f3"))),
+            ("run_episode_unknown_policy", "unknown policy 'F1'",
+             lambda: run_episode(SimConfig(SPEC, 0.5), "F1")),
+        )
+    },
     "save_instance_into_missing_dir": (lambda: save_instance(SPEC, DATA / "absent" / "x.json"),
                                        FileFormatError, "absent/x.json: No such file or directory"),
 }

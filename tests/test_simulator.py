@@ -2,14 +2,17 @@
 
 import math
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import greenlight.cli as cli
 import greenlight.simulator as simulator
 from greenlight import (
     ConflictMatrix,
     ControllerState,
+    DrivingSide,
     DynamicsConfig,
     EpisodeStats,
     IntersectionSpec,
@@ -22,12 +25,16 @@ from greenlight import (
     VehicleRecord,
     WaitLogEntry,
     append_arrivals,
+    build_conflict_matrix,
     decide_f1,
     decide_f2,
     decide_horizon_opt,
+    exit_arm,
     generate_arrivals,
     initial_green_ages,
+    load_instance,
     run_episode,
+    save_instance,
     seed_initial_queues,
     standard_movements,
     step,
@@ -47,6 +54,29 @@ def test_frozen_spec_and_sim_config_hash():
     spec = IntersectionSpec.standard()
     assert hash(spec) == hash(IntersectionSpec.standard())
     assert hash(SimConfig(spec, 0.5)) == hash(SimConfig(IntersectionSpec.standard(), 0.5))
+
+
+def test_string_tokens_behave_like_their_enums(tmp_path):
+    # Turn, DrivingSide, SimMode and PolicyKind are str enums, so a token
+    # compares equal to its member; each entry point turns it into the
+    # member, and the branches behind it see the same junction and episode
+    paths = tuple(Movement(m.entry_arm, m.turn.value) for m in standard_movements(4))
+    assert all(type(m.turn) is Turn for m in paths)
+    for side in DrivingSide:
+        by_token = IntersectionSpec(4, paths, 3, driving_side=side.value)
+        by_enum = IntersectionSpec.standard(max_queue_len=3, driving_side=side)
+        assert by_token == by_enum and by_token.driving_side is side
+        assert by_token.conflicts == by_enum.conflicts == build_conflict_matrix(4, paths, side.value)
+        assert [exit_arm(m, 4, side.value) for m in paths] == [exit_arm(m, 4, side) for m in paths]
+    spec = IntersectionSpec.standard(max_queue_len=3)
+    save_instance(IntersectionSpec(4, paths, 3), tmp_path / "tokens.json")
+    assert load_instance(tmp_path / "tokens.json") == spec
+    for mode in SimMode:
+        assert SimConfig(spec, 0.5, mode=mode.value).mode is mode
+        for policy in PolicyKind:
+            by_token = run_episode(SimConfig(spec, 0.5, 3, mode.value, episode_ticks=60), policy.value)
+            assert by_token == run_episode(SimConfig(spec, 0.5, 3, mode, episode_ticks=60), policy)
+    assert cli.SweepSpec(policies=("f2", "horizon")).policies == (PolicyKind.F2, PolicyKind.HORIZON)
 
 
 def test_seed_zero_intensity_is_empty():
@@ -340,19 +370,25 @@ def test_steady_enter_ticks_replay_the_draw_order(policy):
         assert (e.enter_tick, e.priority) == fifo[e.path].popleft()
 
 
+def block_reader(seed):
+    """`run_episode`'s arrival reader: `.random` is the next double of `_uniforms`."""
+    draws = simulator._uniforms(np.random.Generator(np.random.PCG64(seed)))
+    return SimpleNamespace(random=draws.__next__)
+
+
 def test_buffered_uniforms_match_the_scalar_stream():
     # past two block refills, the reader hands out the doubles that one
     # scalar random() per draw gives from the same seed, in order
     n = 2 * simulator._DRAW_BLOCK + 17
     for seed in (0, 7):
-        reader = simulator._BufferedUniforms(np.random.Generator(np.random.PCG64(seed)))
+        reader = block_reader(seed)
         scalar = np.random.Generator(np.random.PCG64(seed))
         assert [reader.random() for _ in range(n)] == [scalar.random() for _ in range(n)]
 
 
 def test_arrivals_from_the_reader_equal_arrivals_from_a_generator():
     cfg = SimConfig(spec=spec12(10), intensity=1.0, seed=5, mode=SimMode.STEADY)
-    reader = simulator._BufferedUniforms(np.random.Generator(np.random.PCG64(cfg.seed)))
+    reader = block_reader(cfg.seed)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     # about 12 * 1.3 draws a tick, so 700 ticks cross two refills
     for tick in range(700):

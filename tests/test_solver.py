@@ -36,7 +36,7 @@ import greenlight.solver as solver
 from greenlight.model import _bits, _set_bits
 from greenlight.solver import _clique_terms, _phases_opening, _tables
 
-from helpers import lower_bound, snapshot_with, symmetric_matrix_strategy
+from helpers import bellman_plan, lower_bound, snapshot_with, symmetric_matrix_strategy
 
 
 def zero_conflict_spec(paths=3, max_queue_len=3):
@@ -554,6 +554,56 @@ def test_property_search_equals_oracle_on_random_junctions(case):
     orc = exhaustive_oracle(spec, s, prev, cfg)
     assert_search_equals_oracle(sol, orc, cfg.horizon)
     assert rollout_cost(spec, s, sol.schedule, prev, cfg.dynamics)[0] == sol.cost
+
+
+# (arms, horizon, maximal_only, wmax) of the reference's cases inside the
+# oracle's range; the queues come from guard_active_instance
+BELLMAN_ORACLE_CASES = [
+    (4, 2, True, None), (4, 2, True, 60), (4, 3, True, None), (4, 3, True, 60), (3, 2, False, 60),
+]
+
+
+@pytest.mark.parametrize("arms, horizon, maximal_only, wmax", BELLMAN_ORACLE_CASES)
+def test_bellman_reference_equals_the_oracle(arms, horizon, maximal_only, wmax):
+    # the recursion over (block, departed counts, previous phase) finds the
+    # oracle's schedule and cost, the guard on or off, on both candidate lists
+    spec = IntersectionSpec.standard(arms, max_queue_len=4)
+    rng = np.random.default_rng(5200 + 10 * arms + horizon)
+    for _ in range(2):
+        s, prev, _ = guard_active_instance(rng, spec, horizon)
+        cfg = SolverConfig(horizon=horizon, maximal_only=maximal_only, wmax=wmax)
+        orc = exhaustive_oracle(spec, s, prev, cfg)
+        assert bellman_plan(spec, s, prev, cfg) == (orc.cost, orc.schedule)
+
+
+DEEP_SPEC = IntersectionSpec.standard(max_queue_len=8)
+
+
+@st.composite
+def deep_plan_cases(draw):
+    """A plan on the default junction at k = 4 or 5, too deep for the oracle in tier-1.
+
+    wmax is 60 or None. Waits are multiples of phase_ticks up to 68, so
+    front waits often tie, as in a drain, and the guard fires at the root,
+    only at a deeper block, or never. prev is all red or any feasible phase.
+    """
+    cfg = SolverConfig(horizon=draw(st.sampled_from((4, 5))), wmax=draw(st.sampled_from((60, None))))
+    waits = st.integers(min_value=0, max_value=17).map(lambda n: 4 * n)
+    vehicle = st.builds(VehicleRecord, st.sampled_from((1, 3, 10)), waits)
+    queues = draw(st.lists(st.lists(vehicle, max_size=8).map(tuple), min_size=12, max_size=12))
+    prev = draw(st.just(DEEP_SPEC.all_closed())
+                | st.sampled_from(enumerate_feasible_phases(DEEP_SPEC.conflicts)))
+    return TrafficSnapshot(0, tuple(queues)), prev, cfg
+
+
+@given(deep_plan_cases())
+@settings(max_examples=8, deadline=None)
+def test_property_search_equals_bellman_reference_at_depth_four_and_five(case):
+    # where the oracle would enumerate 12^4 or 12^5 schedules, too slow for
+    # tier-1, the search returns the reference's schedule and cost
+    s, prev, cfg = case
+    sol = optimize_schedule(DEEP_SPEC, s, prev, cfg)
+    assert (sol.cost, sol.schedule) == bellman_plan(DEEP_SPEC, s, prev, cfg)
 
 
 @given(random_junction_cases(max_paths=6))
