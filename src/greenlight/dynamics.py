@@ -9,7 +9,7 @@ therefore accumulate priority-weighted completed waiting ticks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from threading import Lock
 
 from .errors import DimensionError, InvalidSpecError
 from .model import IntersectionSpec, Phase, TrafficSnapshot, VehicleRecord, _check_phase
@@ -52,16 +52,43 @@ class StepOutcome:
         return sum([v.priority for q in self.next.queues for v in q])
 
 
-@lru_cache(maxsize=1 << 16)
+# The row memo: _ROWS[p][w] is the one shared record (p, w). It holds at
+# most _MEMO_BOUND records over all its rows; _memo_size counts them.
+_MEMO_BOUND = 1 << 16
+_ROWS: dict[int, list[VehicleRecord]] = {}
+_memo_size = 0
+_GROW_LOCK = Lock()
+
+
 def _record(priority: int, wait: int) -> VehicleRecord:
     """The one shared record for a (priority, wait) pair.
 
     Records are immutable values, so every queued vehicle with the same
-    pair can hold the same instance; a miss builds it through the
-    validating constructor. The bound keeps the memo small however long
-    waits grow.
+    pair can hold the same instance. Each priority has one row of records
+    indexed by wait, and a record handed out here always has its
+    successor (priority, wait + 1) in the row too, so `step` ages it with
+    one index. A miss grows the row, at least doubling it, through the
+    validating constructor. Past the bound, or for a wait that is not an
+    int, the record is built fresh and not stored.
     """
-    return VehicleRecord(priority, wait)
+    global _memo_size
+    if type(wait) is not int or wait < 0:
+        return VehicleRecord(priority, wait)
+    row = _ROWS.get(priority, ())
+    if wait + 1 < len(row):
+        return row[wait]
+    # the lock keeps each row's index equal to its records' wait when two
+    # threads miss at once; readers only ever see a row grow
+    with _GROW_LOCK:
+        row = _ROWS.get(priority, [])
+        have = len(row)
+        want = min(max(wait + 2, 2 * have), have + _MEMO_BOUND - _memo_size)
+        if want < wait + 2:
+            return VehicleRecord(priority, wait)
+        row.extend([VehicleRecord(priority, w) for w in range(have, want)])
+        _ROWS[priority] = row
+        _memo_size += want - have
+    return row[wait]
 
 
 def step(
@@ -83,9 +110,11 @@ def step(
     tick, age + 1 for an open path and 0 for a closed one; the caller
     passes it to the next call under any phase.
 
-    Aged vehicles are looked up in a bounded memo keyed on
-    (priority, wait + 1) instead of being rebuilt, so a tick costs one
-    lookup per queued vehicle; the records compare equal to fresh ones.
+    Aged vehicles are not rebuilt: a record from the row memo ages to
+    `_ROWS[priority][wait + 1]`, one index per queued vehicle. A queue
+    holding a record the memo has no successor for (one a caller built,
+    past a row's end or past the bound) ages through `_record` instead.
+    Either way the records compare equal to fresh ones.
     """
     spec.validate_snapshot(s)
     if len(green_age) != spec.num_paths:
@@ -96,6 +125,7 @@ def step(
 
     mask = phase.mask
     slow_start = cfg.slow_start
+    rows = _ROWS
     departed = []
     next_queues = []
     for i, q in enumerate(s.queues):
@@ -103,7 +133,10 @@ def step(
             if mask >> i & 1 and green_age[i] >= slow_start:
                 departed.append((i, q[0]))
                 q = q[1:]
-            q = tuple([_record(v.priority, v.wait + 1) for v in q])
+            try:
+                q = tuple([rows[v.priority][v.wait + 1] for v in q])
+            except (LookupError, TypeError):  # a record with no successor in the rows
+                q = tuple([_record(v.priority, v.wait + 1) for v in q])
         next_queues.append(q)
     return StepOutcome(
         next=TrafficSnapshot(tick=s.tick + 1, queues=tuple(next_queues)),

@@ -11,6 +11,8 @@ from greenlight import (
     Phase,
     PolicyKind,
     SimConfig,
+    SimMode,
+    SolverConfig,
     TrafficSnapshot,
     Turn,
     VehicleRecord,
@@ -18,9 +20,11 @@ from greenlight import (
     initial_green_ages,
     rollout_cost,
     run_episode,
+    seed_initial_queues,
     step,
 )
-from greenlight.dynamics import _record
+from greenlight import dynamics
+from greenlight.dynamics import _MEMO_BOUND, _ROWS, _record
 from greenlight.errors import (
     ConstraintViolationError,
     DimensionError,
@@ -313,8 +317,10 @@ def test_property_step_matches_fresh_record_reference(data):
     # equality with the plain tick also pins its consequences: vehicles are
     # conserved, survivors age by exactly one, the cost is the survivors'
     # priority sum; the all-red phase is drawn too, where nobody leaves
+    # waits past the memo bound age through fresh records, not the rows
     spec = spec12()
-    vehicle = st.tuples(st.integers(1, 10), st.integers(0, 300))
+    wait = st.one_of(st.integers(0, 300), st.integers(_MEMO_BOUND - 2, _MEMO_BOUND + 300))
+    vehicle = st.tuples(st.integers(1, 10), wait)
     raw = data.draw(st.lists(st.lists(vehicle, max_size=6), min_size=12, max_size=12))
     s = snapshot_with(spec, dict(enumerate(raw)), tick=data.draw(st.integers(0, 1000)))
     phase = data.draw(st.sampled_from([spec.all_closed(), *enumerate_feasible_phases(spec.conflicts)]))
@@ -333,13 +339,76 @@ def test_property_step_matches_fresh_record_reference(data):
             assert v == VehicleRecord(v.priority, v.wait)
 
 
-def test_record_memo_stays_bounded_after_drain_episode():
+def overloaded_episodes():
+    """An overloaded steady f2 episode and a guard-off drain, whose waits
+    run long."""
     spec = IntersectionSpec.standard()
-    run_episode(SimConfig(spec=spec, intensity=1.0, seed=3), PolicyKind.F2)
-    info = _record.cache_info()
-    assert info.maxsize == 1 << 16
-    assert 0 < info.currsize <= info.maxsize
-    assert info.hits > 0
+    return [
+        run_episode(SimConfig(spec=spec, intensity=1.0, seed=3, mode=SimMode.STEADY), PolicyKind.F2),
+        run_episode(SimConfig(spec=spec, intensity=1.0, seed=3), PolicyKind.F2, SolverConfig(wmax=None)),
+    ]
+
+
+def test_row_memo_stays_within_its_bound(monkeypatch):
+    episodes = overloaded_episodes()
+    assert _MEMO_BOUND == 1 << 16
+    assert 0 < dynamics._memo_size <= _MEMO_BOUND
+    # every row holds record (p, w) at index w, and the count is their length
+    for p, row in _ROWS.items():
+        assert all(type(v) is VehicleRecord and v == VehicleRecord(p, w) for w, v in enumerate(row))
+    assert sum(map(len, _ROWS.values())) == dynamics._memo_size
+    past = _record(1, _MEMO_BOUND)
+    assert type(past) is VehicleRecord
+    assert past == VehicleRecord(1, _MEMO_BOUND)
+
+    # on a fresh memo with a small bound the same episodes fill it, then
+    # run on fresh records past it with the same results
+    monkeypatch.setattr(dynamics, "_ROWS", {})
+    monkeypatch.setattr(dynamics, "_memo_size", 0)
+    monkeypatch.setattr(dynamics, "_MEMO_BOUND", 100)
+    assert overloaded_episodes() == episodes
+    assert 90 < dynamics._memo_size <= 100
+    past = dynamics._record(1, 100)
+    assert type(past) is VehicleRecord
+    assert past == VehicleRecord(1, 100)
+    assert dynamics._memo_size <= 100
+
+
+def test_step_ages_seeded_vehicles_into_the_memo_rows():
+    spec = IntersectionSpec.standard()
+    s = seed_initial_queues(SimConfig(spec=spec, intensity=1.0, seed=5))
+    for q in s.queues:
+        for v in q:
+            assert v is _ROWS[v.priority][0]
+    phase = enumerate_feasible_phases(spec.conflicts)[0]
+    ages = [1] * spec.num_paths
+    for _ in range(3):
+        out = step(spec, s, phase, ages, DynamicsConfig())
+        assert out.departed
+        for q in out.next.queues:
+            for v in q:
+                assert v is _ROWS[v.priority][v.wait]
+        s, ages = out.next, out.green_age
+
+
+def test_step_ages_caller_built_records_off_the_rows():
+    # priority 7 has no row from the simulator, and wait 10**6 lies past
+    # every row: both queues age through fresh records, open and closed.
+    # The constructor also takes a float wait, which no row holds
+    spec = spec12()
+    far = 10**6
+    s = snapshot_with(spec, {0: [(7, far), (7, far), (1, far)], 5: [(7, far), (3, 2)], 9: [(2, 2.5)]})
+    phase = Phase(1, 12)
+    for ages in ([1] * 12, [0] * 12):
+        out = step(spec, s, phase, ages, DynamicsConfig())
+        ref_next, ref_departed, ref_cost, ref_ages = reference_step(spec, s, phase, ages, DynamicsConfig())
+        assert out.next == ref_next
+        assert out.departed == ref_departed
+        assert out.tick_cost == ref_cost
+        assert out.green_age == ref_ages
+        assert all(type(v) is VehicleRecord for q in out.next.queues for v in q)
+    assert out.next.queues[0] == (VehicleRecord(7, far + 1),) * 2 + (VehicleRecord(1, far + 1),)
+    assert out.next.queues[9] == (VehicleRecord(2, 3.5),)
 
 
 @given(tri_snapshot_strategy(), st.integers(min_value=1, max_value=2))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import Phase as HypothesisPhase
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -597,10 +598,16 @@ def deep_plan_cases(draw):
 
 
 @given(deep_plan_cases())
-@settings(max_examples=8, deadline=None)
+@settings(
+    max_examples=8,
+    deadline=None,
+    phases=[p for p in HypothesisPhase if p is not HypothesisPhase.shrink],
+)
 def test_property_search_equals_bellman_reference_at_depth_four_and_five(case):
     # where the oracle would enumerate 12^4 or 12^5 schedules, too slow for
-    # tier-1, the search returns the reference's schedule and cost
+    # tier-1, the search returns the reference's schedule and cost. A
+    # failure reports its first example unshrunk: each shrink step would
+    # re-solve a deep plan with the reference, for minutes in all
     s, prev, cfg = case
     sol = optimize_schedule(DEEP_SPEC, s, prev, cfg)
     assert (sol.cost, sol.schedule) == bellman_plan(DEEP_SPEC, s, prev, cfg)
