@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamics import DynamicsConfig
-from .errors import FileFormatError, GreenlightError
+from .errors import FileFormatError, GreenlightError, InvalidSpecError
 from .fileio import (
     _instance_problems,
     _instance_spec,
@@ -29,7 +29,7 @@ from .fileio import (
     load_snapshot,
     write_wait_log,
 )
-from .model import IntersectionSpec, _as_enum, _check_intensity, enumerate_feasible_phases
+from .model import IntersectionSpec, _as_enum, _check_int, _check_intensity, enumerate_feasible_phases
 from .policies import PolicyKind
 from .simulator import EpisodeStats, SimConfig, SimMode, WaitLogEntry, run_episode
 from .solver import SolverConfig, optimize_schedule
@@ -57,8 +57,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         policies = tuple(_as_enum(PolicyKind, p, "policy") for p in self.policies)
         object.__setattr__(self, "policies", policies)
-        if self.runs < 1:
-            raise GreenlightError("runs must be >= 1")
+        _check_int(self.runs, "runs", 1)
+        _check_int(self.base_seed, "base_seed", 0)
         if not self.intensities:
             raise GreenlightError("at least one intensity required")
         for x in self.intensities:
@@ -105,11 +105,9 @@ def _policy_list(text: str) -> tuple[PolicyKind, ...]:
         if not tok:
             continue
         try:
-            out.append(PolicyKind(tok))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"unknown policy {tok!r}; expected horizon, f1, f2"
-            ) from None
+            out.append(_as_enum(PolicyKind, tok, "policy"))
+        except InvalidSpecError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     if not out:
         raise argparse.ArgumentTypeError("empty policy list")
     return tuple(out)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from threading import Lock
 
 from .errors import DimensionError, InvalidSpecError
-from .model import IntersectionSpec, Phase, TrafficSnapshot, VehicleRecord, _check_phase
+from .model import IntersectionSpec, Phase, TrafficSnapshot, VehicleRecord, _check_int, _check_phase
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,8 @@ class DynamicsConfig:
     slow_start: int = 1
 
     def __post_init__(self) -> None:
-        if self.phase_ticks < 1:
-            raise InvalidSpecError("phase_ticks must be >= 1")
-        if self.slow_start < 0:
-            raise InvalidSpecError("slow_start must be >= 0")
+        _check_int(self.phase_ticks, "phase_ticks", 1)
+        _check_int(self.slow_start, "slow_start", 0)
         # slow_start < phase_ticks keeps every phase able to serve at
         # least one vehicle, which drain liveness depends on.
         if self.slow_start >= self.phase_ticks:
@@ -61,19 +59,17 @@ _GROW_LOCK = Lock()
 
 
 def _record(priority: int, wait: int) -> VehicleRecord:
-    """The one shared record for a (priority, wait) pair.
+    """The one shared record for a (priority, wait) pair, read by `step` alone.
 
-    Records are immutable values, so every queued vehicle with the same
-    pair can hold the same instance. Each priority has one row of records
-    indexed by wait, and a record handed out here always has its
-    successor (priority, wait + 1) in the row too, so `step` ages it with
-    one index. A miss grows the row, at least doubling it, through the
-    validating constructor. Past the bound, or for a wait that is not an
-    int, the record is built fresh and not stored.
+    Records are immutable values with int fields, so every queued vehicle
+    with the same pair can hold the same instance. Each priority has one
+    row of records indexed by wait, and a record handed out here always
+    has its successor (priority, wait + 1) in the row too, so `step` ages
+    it with one index. A miss grows the row, at least doubling it, through
+    the validating constructor. Past the bound the record is built fresh
+    and not stored.
     """
     global _memo_size
-    if type(wait) is not int or wait < 0:
-        return VehicleRecord(priority, wait)
     row = _ROWS.get(priority, ())
     if wait + 1 < len(row):
         return row[wait]
@@ -110,11 +106,11 @@ def step(
     tick, age + 1 for an open path and 0 for a closed one; the caller
     passes it to the next call under any phase.
 
-    Aged vehicles are not rebuilt: a record from the row memo ages to
-    `_ROWS[priority][wait + 1]`, one index per queued vehicle. A queue
-    holding a record the memo has no successor for (one a caller built,
-    past a row's end or past the bound) ages through `_record` instead.
-    Either way the records compare equal to fresh ones.
+    Aged vehicles are not rebuilt: only `step` reads the row memo, and any
+    record ages to `_ROWS[priority][wait + 1]`, one index per vehicle. A
+    queue holding a record with no successor there (a priority without a
+    row yet, a wait past its row's end or past the bound) ages through
+    `_record` instead. Either way the records compare equal to fresh ones.
     """
     spec.validate_snapshot(s)
     if len(green_age) != spec.num_paths:
@@ -135,7 +131,7 @@ def step(
                 q = q[1:]
             try:
                 q = tuple([rows[v.priority][v.wait + 1] for v in q])
-            except (LookupError, TypeError):  # a record with no successor in the rows
+            except LookupError:  # a record with no successor in the rows
                 q = tuple([_record(v.priority, v.wait + 1) for v in q])
         next_queues.append(q)
     return StepOutcome(

@@ -28,6 +28,8 @@ from .model import (
     TrafficSnapshot,
     Turn,
     VehicleRecord,
+    _check_int,
+    _is_int,
     build_conflict_matrix,
     decode_snapshot,
     encode_snapshot,
@@ -69,10 +71,6 @@ def _write_text(path: str | Path, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise FileFormatError(f"{p}: {exc.strerror or exc}") from exc
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _as_int(value, what: str, path: str | Path) -> int:
@@ -215,9 +213,7 @@ def load_snapshot(path: str | Path, spec: IntersectionSpec) -> TrafficSnapshot:
     if not isinstance(data, dict):
         raise FileFormatError(f"{path}: snapshot must be a JSON object")
     tick = data.get("tick", 0)
-    tick = _as_int(tick, "tick", path)
-    if tick < 0:
-        raise FileFormatError(f"{path}: tick must be >= 0")
+    _check_int(tick, f"{path}: tick", 0, FileFormatError)
     has_queues = "queues" in data
     has_array = "array" in data
     if has_queues == has_array:

@@ -74,6 +74,20 @@ def _as_enum(kind: type[_E], token: object, name: str) -> _E:
         raise InvalidSpecError(f"unknown {name} {token!r}; expected {expected}") from None
 
 
+def _is_int(value: object) -> bool:
+    """The library's one integer test: exactly `int`, so bools, floats and numpy ints fail."""
+    return type(value) is int
+
+
+def _check_int(value: object, name: str, low: int, error: type[Exception] = InvalidSpecError) -> None:
+    """The one rule for an integer count, seed or record field: an int
+    (`_is_int`) of at least `low`, else `error` naming the field."""
+    if not _is_int(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class Movement:
     """One traffic path: vehicles entering at entry_arm and turning `turn`."""
@@ -93,9 +107,9 @@ def exit_arm(movement: Movement, arms: int, side: DrivingSide = DrivingSide.LEFT
     is mirrored for right-hand driving.
     """
     side = _as_enum(DrivingSide, side, "driving side")
-    if arms < MIN_ARMS:
-        raise InvalidGeometryError(f"need at least {MIN_ARMS} arms, got {arms}")
-    if not 0 <= movement.entry_arm < arms:
+    _check_int(arms, "arms", MIN_ARMS, InvalidGeometryError)
+    _check_int(movement.entry_arm, "entry_arm", 0, InvalidGeometryError)
+    if movement.entry_arm >= arms:
         raise InvalidGeometryError(
             f"entry arm {movement.entry_arm} out of range for {arms} arms"
         )
@@ -140,9 +154,9 @@ class Phase:
     width: int
 
     def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise DimensionError("phase width must be positive")
-        if not 0 <= self.mask < (1 << self.width):
+        _check_int(self.width, "width", 1, DimensionError)
+        _check_int(self.mask, "mask", 0, DimensionError)
+        if self.mask >= 1 << self.width:
             raise DimensionError(
                 f"mask {self.mask:#x} does not fit width {self.width}"
             )
@@ -475,10 +489,8 @@ class VehicleRecord:
     wait: int = 0
 
     def __post_init__(self) -> None:
-        if self.priority < 1:
-            raise InvalidSpecError(f"priority must be >= 1, got {self.priority}")
-        if self.wait < 0:
-            raise InvalidSpecError(f"wait must be >= 0, got {self.wait}")
+        _check_int(self.priority, "priority", 1)
+        _check_int(self.wait, "wait", 0)
 
 
 @dataclass(frozen=True)
@@ -516,12 +528,10 @@ class IntersectionSpec:
     def __post_init__(self) -> None:
         side = _as_enum(DrivingSide, self.driving_side, "driving side")
         object.__setattr__(self, "driving_side", side)
-        if self.arms < MIN_ARMS:
-            raise InvalidGeometryError(f"need at least {MIN_ARMS} arms")
+        _check_int(self.arms, "arms", MIN_ARMS, InvalidGeometryError)
         if not self.paths:
             raise InvalidSpecError("at least one path required")
-        if self.max_queue_len < 1:
-            raise InvalidSpecError("max_queue_len must be >= 1")
+        _check_int(self.max_queue_len, "max_queue_len", 1)
         _path_exits(self.arms, self.paths, self.driving_side)
         if self.conflicts is None:
             object.__setattr__(
@@ -562,8 +572,7 @@ class IntersectionSpec:
         return Phase(0, self.num_paths)
 
     def validate_snapshot(self, s: TrafficSnapshot) -> None:
-        if s.tick < 0:
-            raise InvalidSpecError(f"tick must be >= 0, got {s.tick}")
+        _check_int(s.tick, "tick", 0)
         if s.paths != self.num_paths:
             raise DimensionError(
                 f"snapshot has {s.paths} queues, instance has {self.num_paths}"

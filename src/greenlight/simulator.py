@@ -18,9 +18,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import _record, initial_green_ages, step
+from .dynamics import initial_green_ages, step
 from .errors import InvalidSpecError
-from .model import IntersectionSpec, TrafficSnapshot, VehicleRecord, _as_enum, _check_intensity
+from .model import IntersectionSpec, TrafficSnapshot, VehicleRecord, _as_enum, _check_int, _check_intensity
 from .policies import (
     ControllerState,
     PolicyKind,
@@ -35,6 +35,8 @@ ARRIVAL_RATE_SCALE = 0.3
 TICK_SECONDS = 5.0
 TICK_CAP = 100_000
 _DRAW_BLOCK = 4096
+# each class's one wait-0 record, shared by its seeded vehicles and arrivals
+_CLASS_RECORD = {weight: VehicleRecord(weight) for weight, _ in PRIORITY_CLASSES}
 
 
 class SimMode(str, Enum):
@@ -62,10 +64,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", _as_enum(SimMode, self.mode, "mode"))
         _check_intensity(self.intensity)
-        if self.seed < 0:
-            raise InvalidSpecError("seed must be nonnegative")
-        if self.episode_ticks < 0:
-            raise InvalidSpecError("episode_ticks must be >= 0")
+        _check_int(self.seed, "seed", 0)
+        _check_int(self.episode_ticks, "episode_ticks", 0)
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def seed_initial_queues(cfg: SimConfig, rng: np.random.Generator | None = None) 
     fill = cfg.spec.fill_count(cfg.intensity)
     paths = cfg.spec.num_paths
     draws = rng.random(paths * fill).tolist()
-    records = [_record(_priority_of(u, PRIORITY_CLASSES), 0) for u in draws]
+    records = [_CLASS_RECORD[_priority_of(u, PRIORITY_CLASSES)] for u in draws]
     queues = tuple(tuple(records[i * fill : (i + 1) * fill]) for i in range(paths))
     return TrafficSnapshot(tick=0, queues=queues)
 
@@ -157,7 +157,7 @@ def generate_arrivals(
     out = []
     for _ in range(cfg.spec.num_paths):
         if u() < p:
-            out.append((_record(_priority_of(u(), PRIORITY_CLASSES), 0),))
+            out.append((_CLASS_RECORD[_priority_of(u(), PRIORITY_CLASSES)],))
         else:
             out.append(())
     return tuple(out)

@@ -48,6 +48,7 @@ from .model import (
     Phase,
     TrafficSnapshot,
     _bits,
+    _check_int,
     _check_phase,
     _set_bits,
 )
@@ -76,8 +77,7 @@ class SolverConfig:
     dynamics: DynamicsConfig = field(default_factory=DynamicsConfig)
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise InvalidSpecError("horizon must be >= 1")
+        _check_int(self.horizon, "horizon", 1)
         if self.wmax is not None:
             # guard threshold must exceed the worst forced wait of a
             # freshly green queue, or the guard can thrash

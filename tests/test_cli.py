@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import greenlight.cli as cli
+import greenlight.simulator as simulator
 from greenlight import (
     MAX_FEASIBLE_PHASES,
     IntersectionSpec,
@@ -376,6 +377,20 @@ def test_sweep_zero_intensity_rows_are_zero(capsys):
         fields = row.split(",")
         assert fields[3] == "0.000000"
         assert fields[8] == "true"
+
+
+def test_sweep_summary_counts_unterminated_episodes(capsys, monkeypatch):
+    # a cap too short for a full drain ends every episode unterminated:
+    # each CSV row reads false and the cell's summary line counts them
+    monkeypatch.setattr(simulator, "TICK_CAP", 12)
+    code, out, err = run_cli(
+        capsys, "sweep", "--instance", INSTANCE, "--intensity", "1", "--runs", "2", "--policy", "f2"
+    )
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 2 and all(row.split(",")[8] == "false" for row in rows)
+    assert err.startswith("intensity 1.00 f2: mean_wait_ticks=")
+    assert err.endswith(" non_terminated=2\n") and err.count("\n") == 1
 
 
 def test_simulate_prints_stats_and_writes_log(capsys, tmp_path):

@@ -23,7 +23,7 @@ from greenlight import (
     seed_initial_queues,
     step,
 )
-from greenlight import dynamics
+from greenlight import dynamics, simulator
 from greenlight.dynamics import _MEMO_BOUND, _ROWS, _record
 from greenlight.errors import (
     ConstraintViolationError,
@@ -377,9 +377,11 @@ def test_row_memo_stays_within_its_bound(monkeypatch):
 def test_step_ages_seeded_vehicles_into_the_memo_rows():
     spec = IntersectionSpec.standard()
     s = seed_initial_queues(SimConfig(spec=spec, intensity=1.0, seed=5))
+    # a seeded vehicle is its class's one record; each tick ages it into
+    # the rows, to _ROWS[p][1] after the first
     for q in s.queues:
         for v in q:
-            assert v is _ROWS[v.priority][0]
+            assert v is simulator._CLASS_RECORD[v.priority]
     phase = enumerate_feasible_phases(spec.conflicts)[0]
     ages = [1] * spec.num_paths
     for _ in range(3):
@@ -393,11 +395,10 @@ def test_step_ages_seeded_vehicles_into_the_memo_rows():
 
 def test_step_ages_caller_built_records_off_the_rows():
     # priority 7 has no row from the simulator, and wait 10**6 lies past
-    # every row: both queues age through fresh records, open and closed.
-    # The constructor also takes a float wait, which no row holds
+    # every row: both queues age through fresh records, open and closed
     spec = spec12()
     far = 10**6
-    s = snapshot_with(spec, {0: [(7, far), (7, far), (1, far)], 5: [(7, far), (3, 2)], 9: [(2, 2.5)]})
+    s = snapshot_with(spec, {0: [(7, far), (7, far), (1, far)], 5: [(7, far), (3, 2)]})
     phase = Phase(1, 12)
     for ages in ([1] * 12, [0] * 12):
         out = step(spec, s, phase, ages, DynamicsConfig())
@@ -408,7 +409,6 @@ def test_step_ages_caller_built_records_off_the_rows():
         assert out.green_age == ref_ages
         assert all(type(v) is VehicleRecord for q in out.next.queues for v in q)
     assert out.next.queues[0] == (VehicleRecord(7, far + 1),) * 2 + (VehicleRecord(1, far + 1),)
-    assert out.next.queues[9] == (VehicleRecord(2, 3.5),)
 
 
 @given(tri_snapshot_strategy(), st.integers(min_value=1, max_value=2))

@@ -33,6 +33,7 @@ from greenlight import (
     SimConfig,
     SolverConfig,
     TrafficSnapshot,
+    VehicleRecord,
     append_arrivals,
     build_conflict_matrix,
     decide_f1,
@@ -189,7 +190,7 @@ CLI_ROWS = {
     "optimize_malformed_snapshot": ("optimize --instance {instance} --snapshot {tmp}/gap.json",
                                     "error: queue 0: empty slot before an occupied one"),
     "optimize_negative_tick": ("optimize --instance {instance} --snapshot {tmp}/tick.json",
-                               "error: {tmp}/tick.json: tick must be >= 0"),
+                               "error: {tmp}/tick.json: tick must be >= 0, got -1"),
     "optimize_unparseable_snapshot": (
         "optimize --instance {instance} --snapshot {tmp}/broken.json",
         "error: {tmp}/broken.json: line 1 column 12: Expecting property name enclosed in double quotes"),
@@ -213,7 +214,7 @@ CLI_ROWS = {
     "sweep_out_is_a_dir": (f"{SWEEP} --out {{tmp}}/a_dir", "error: {tmp}/a_dir: Is a directory"),
     "sweep_intensity_out_of_range": ("sweep --instance {instance} --intensity 1.5",
                                      "error: intensity must be in [0, 1], got 1.5"),
-    "sweep_zero_runs": (f"{SWEEP} --runs 0", "error: runs must be >= 1"),
+    "sweep_zero_runs": (f"{SWEEP} --runs 0", "error: runs must be >= 1, got 0"),
     "sweep_intensity_not_floats": (
         f"{SWEEP} --intensity a,b",
         "greenlight sweep: error: argument --intensity: not a comma-separated float list: 'a,b'"),
@@ -272,10 +273,36 @@ def test_cli_invocation_rejected(tmp_path, capsys, monkeypatch, argv, message):
 SPEC = spec12()  # 12 paths, queues of at most 6
 MOVES = standard_movements(4)
 CROSSING = Phase(sum(1 << i for i in SPEC.conflicts.pairs()[0]), 12)  # opens a conflicting pair
+# every integer count, seed and record field of the API, each checked by
+# model._check_int: row name -> field, error type, lower bound, and a call
+# given the field's value
+INT_FIELDS = {
+    "exit_arm_arms": ("arms", InvalidGeometryError, 3, lambda x: exit_arm(MOVES[0], x)),
+    "exit_arm_entry_arm": ("entry_arm", InvalidGeometryError, 0,
+                           lambda x: exit_arm(Movement(x, "L"), 4)),
+    "phase_width": ("width", DimensionError, 1, lambda x: Phase(0, x)),
+    "phase_mask": ("mask", DimensionError, 0, lambda x: Phase(x, 3)),
+    "record_priority": ("priority", InvalidSpecError, 1, lambda x: VehicleRecord(x)),
+    "record_wait": ("wait", InvalidSpecError, 0, lambda x: VehicleRecord(1, x)),
+    "spec_arms": ("arms", InvalidGeometryError, 3, lambda x: IntersectionSpec(x, MOVES[:1], 1)),
+    "spec_max_queue_len": ("max_queue_len", InvalidSpecError, 1,
+                           lambda x: IntersectionSpec.standard(max_queue_len=x)),
+    "snapshot_tick": ("tick", InvalidSpecError, 0,
+                      lambda x: SPEC.validate_snapshot(TrafficSnapshot(x, EMPTY.queues))),
+    "dynamics_phase_ticks": ("phase_ticks", InvalidSpecError, 1,
+                             lambda x: DynamicsConfig(phase_ticks=x, slow_start=0)),
+    "dynamics_slow_start": ("slow_start", InvalidSpecError, 0, lambda x: DynamicsConfig(slow_start=x)),
+    "solver_horizon": ("horizon", InvalidSpecError, 1, lambda x: SolverConfig(horizon=x)),
+    "sim_seed": ("seed", InvalidSpecError, 0, lambda x: SimConfig(SPEC, 0.5, seed=x)),
+    "sim_episode_ticks": ("episode_ticks", InvalidSpecError, 0,
+                          lambda x: SimConfig(SPEC, 0.5, episode_ticks=x)),
+    "sweep_runs": ("runs", InvalidSpecError, 1, lambda x: cli.SweepSpec(runs=x)),
+    "sweep_base_seed": ("base_seed", InvalidSpecError, 0, lambda x: cli.SweepSpec(base_seed=x)),
+}
 # call -> error type, message fragment; the rejections of the model,
 # dynamics, solver and simulator suites are checked there
 API_ROWS = {
-    "phase_width_zero": (lambda: Phase(0, 0), DimensionError, "phase width must be positive"),
+    "phase_width_zero": (lambda: Phase(0, 0), DimensionError, "width must be >= 1, got 0"),
     "phase_mask_too_wide": (lambda: Phase(8, 3), DimensionError, "mask 0x8 does not fit width 3"),
     "phase_is_open_past_width": (lambda: Phase(1, 3).is_open(5), DimensionError,
                                  "path 5 outside range(3)"),
@@ -288,7 +315,7 @@ API_ROWS = {
     "matrix_conflicts_column_negative": (lambda: SPEC.conflicts.conflicts(0, -1), DimensionError,
                                          "path pair (0, -1) outside range(12)"),
     "spec_two_arms": (lambda: IntersectionSpec(2, MOVES[:1], 1), InvalidGeometryError,
-                      "need at least 3 arms"),
+                      "arms must be >= 3, got 2"),
     "spec_no_paths": (lambda: IntersectionSpec(4, (), 1), InvalidSpecError,
                       "at least one path required"),
     "spec_matrix_of_three_paths": (
@@ -297,7 +324,7 @@ API_ROWS = {
     "dynamics_negative_slow_start": (lambda: DynamicsConfig(slow_start=-1), InvalidSpecError,
                                      "slow_start must be >= 0"),
     "sim_negative_seed": (lambda: SimConfig(SPEC, 0.5, seed=-1), InvalidSpecError,
-                          "seed must be nonnegative"),
+                          "seed must be >= 0, got -1"),
     "sim_negative_episode_ticks": (lambda: SimConfig(SPEC, 0.5, episode_ticks=-1),
                                    InvalidSpecError, "episode_ticks must be >= 0"),
     "arrivals_for_11_of_12_paths": (lambda: append_arrivals(SPEC, EMPTY, ((),) * 11),
@@ -329,7 +356,7 @@ API_ROWS = {
     },
     "decode_negative_tick": (lambda: decode_snapshot(queue_array(6), SPEC, tick=-3),
                              InvalidSpecError, "tick must be >= 0, got -3"),
-    "sweep_zero_runs": (lambda: cli.SweepSpec(runs=0), GreenlightError, "runs must be >= 1"),
+    "sweep_zero_runs": (lambda: cli.SweepSpec(runs=0), InvalidSpecError, "runs must be >= 1, got 0"),
     "sweep_no_intensities": (lambda: cli.SweepSpec(intensities=()), GreenlightError,
                              "at least one intensity required"),
     "sweep_no_policies": (lambda: cli.SweepSpec(policies=()), GreenlightError,
@@ -354,6 +381,13 @@ API_ROWS = {
     },
     "save_instance_into_missing_dir": (lambda: save_instance(SPEC, DATA / "absent" / "x.json"),
                                        FileFormatError, "absent/x.json: No such file or directory"),
+    # a float or a bool in an integer field: not an int, whatever its value
+    **{
+        f"{name}_{label}": (lambda make=make, bad=bad: make(bad), error,
+                            f"{field} must be an integer, got {bad!r}")
+        for name, (field, error, _, make) in INT_FIELDS.items()
+        for label, bad in (("float", 1.5), ("bool", True))
+    },
 }
 
 
@@ -362,3 +396,11 @@ def test_api_call_rejected(call, error, fragment):
     with pytest.raises(error) as exc:
         call()
     assert exc.type is error and fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("field, error, low, make", INT_FIELDS.values(), ids=list(INT_FIELDS))
+def test_integer_field_takes_its_lower_bound(field, error, low, make):
+    make(low)
+    with pytest.raises(error) as exc:
+        make(low - 1)
+    assert exc.type is error and str(exc.value) == f"{field} must be >= {low}, got {low - 1}"
