@@ -135,9 +135,9 @@ def step(
                 q = tuple([_record(v.priority, v.wait + 1) for v in q])
         next_queues.append(q)
     return StepOutcome(
-        next=TrafficSnapshot(tick=s.tick + 1, queues=tuple(next_queues)),
-        departed=tuple(departed),
-        green_age=tuple([a + 1 if mask >> i & 1 else 0 for i, a in enumerate(green_age)]),
+        TrafficSnapshot(s.tick + 1, tuple(next_queues)),
+        tuple(departed),
+        tuple([a + 1 if mask >> i & 1 else 0 for i, a in enumerate(green_age)]),
     )
 
 

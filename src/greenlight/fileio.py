@@ -29,6 +29,7 @@ from .model import (
     Turn,
     VehicleRecord,
     _check_int,
+    _int_problem,
     _is_int,
     build_conflict_matrix,
     decode_snapshot,
@@ -90,11 +91,11 @@ def _instance_problems(data) -> list[str]:
     problems: list[str] = []
 
     arms = data.get("arms")
+    problem = _int_problem(arms, "arms", MIN_ARMS)
+    if problem is not None:
+        problems.append(problem)
     if not _is_int(arms):
-        problems.append("arms must be an integer")
         arms = None
-    elif arms < MIN_ARMS:
-        problems.append(f"arms must be >= {MIN_ARMS}, got {arms}")
 
     raw_paths = data.get("paths")
     n_paths = 0
@@ -124,11 +125,9 @@ def _instance_problems(data) -> list[str]:
             else:
                 seen[key] = idx
 
-    mql = data.get("max_queue_len")
-    if not _is_int(mql):
-        problems.append("max_queue_len must be an integer")
-    elif mql < 1:
-        problems.append("max_queue_len must be >= 1")
+    problem = _int_problem(data.get("max_queue_len"), "max_queue_len", 1)
+    if problem is not None:
+        problems.append(problem)
 
     if data.get("driving_side", "left") not in _SIDE_TOKENS:
         problems.append("driving_side must be 'left' or 'right'")

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from math import ceil
+from numbers import Real
 from typing import TypeVar
 
 import numpy as np
@@ -79,13 +80,22 @@ def _is_int(value: object) -> bool:
     return type(value) is int
 
 
-def _check_int(value: object, name: str, low: int, error: type[Exception] = InvalidSpecError) -> None:
-    """The one rule for an integer count, seed or record field: an int
-    (`_is_int`) of at least `low`, else `error` naming the field."""
+def _int_problem(value: object, name: str, low: int) -> str | None:
+    """The one rule for an integer count, seed or record field: None for an
+    int (`_is_int`) of at least `low`, else the message naming the field.
+    `_check_int` raises it; an instance file's validation lists it."""
     if not _is_int(value):
-        raise error(f"{name} must be an integer, got {value!r}")
+        return f"{name} must be an integer, got {value!r}"
     if value < low:
-        raise error(f"{name} must be >= {low}, got {value}")
+        return f"{name} must be >= {low}, got {value}"
+    return None
+
+
+def _check_int(value: object, name: str, low: int, error: type[Exception] = InvalidSpecError) -> None:
+    """`_int_problem`'s rule, raised as `error`. Every `Phase` and record
+    construction runs it, so it asks for the message only on a failure."""
+    if not _is_int(value) or value < low:
+        raise error(_int_problem(value, name, low))
 
 
 @dataclass(frozen=True)
@@ -505,11 +515,14 @@ class TrafficSnapshot:
         return len(self.queues)
 
     def is_empty(self) -> bool:
-        return all(not q for q in self.queues)
+        return not any(self.queues)
 
 
 def _check_intensity(intensity: float) -> None:
-    """The one range rule for a load level: [0, 1], which nan also fails."""
+    """The one rule for a load level: a real number, not a bool, in [0, 1],
+    which nan also fails."""
+    if isinstance(intensity, bool) or not isinstance(intensity, Real):
+        raise InvalidSpecError(f"intensity must be a real number, got {intensity!r}")
     if not 0.0 <= intensity <= 1.0:
         raise InvalidSpecError(f"intensity must be in [0, 1], got {intensity}")
 

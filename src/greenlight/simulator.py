@@ -177,14 +177,15 @@ def append_arrivals(
         raise InvalidSpecError(
             f"arrivals cover {len(arrivals)} paths, expected {spec.num_paths}"
         )
+    cap = spec.max_queue_len
     rejected = 0
     queues = list(s.queues)
     for i, incoming in enumerate(arrivals):
         if incoming:
-            kept = tuple(incoming[: max(spec.max_queue_len - len(queues[i]), 0)])
+            kept = tuple(incoming[: max(cap - len(queues[i]), 0)])
             queues[i] += kept
             rejected += len(incoming) - len(kept)
-    return TrafficSnapshot(tick=s.tick, queues=tuple(queues)), rejected
+    return TrafficSnapshot(s.tick, tuple(queues)), rejected
 
 
 def run_episode(
@@ -215,7 +216,15 @@ def run_episode(
         solver_cfg = SolverConfig()
     dyn = solver_cfg.dynamics
 
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    # loop invariants, read once; `step`, the arrival functions and the
+    # decision functions are still looked up in this module on every call,
+    # so a wrapper set on the module sees each tick and each decision
+    drain = cfg.mode is SimMode.DRAIN
+    seed = cfg.seed
+    label = policy.value
+    phase_ticks = dyn.phase_ticks
+
+    rng = np.random.Generator(np.random.PCG64(seed))
     state = seed_initial_queues(cfg, rng)
     draws = SimpleNamespace(random=_uniforms(rng).__next__)
     phase = spec.all_closed()
@@ -227,7 +236,7 @@ def run_episode(
 
     while True:
         t = state.tick
-        if cfg.mode is SimMode.DRAIN:
+        if drain:
             if state.is_empty():
                 break
             if t >= TICK_CAP:
@@ -236,32 +245,23 @@ def run_episode(
         elif t >= cfg.episode_ticks:
             break
 
-        if t % dyn.phase_ticks == 0:
+        if t % phase_ticks == 0:
             if policy is PolicyKind.HORIZON:
                 st.prev_phase = phase
                 phase = decide_horizon_opt(spec, state, st, solver_cfg)
             elif policy is PolicyKind.F1:
                 phase = decide_f1(state, spec.conflicts)
             else:
-                phase = decide_f2(t, spec.conflicts, dyn.phase_ticks)
+                phase = decide_f2(t, spec.conflicts, phase_ticks)
 
         out = step(spec, state, phase, ages, dyn)
         for i, rec in out.departed:
-            log.append(
-                WaitLogEntry(
-                    seed=cfg.seed,
-                    policy=policy.value,
-                    path=i,
-                    priority=rec.priority,
-                    enter_tick=t - rec.wait,
-                    exit_tick=t,
-                    wait_ticks=rec.wait,
-                )
-            )
+            wait = rec.wait
+            log.append(WaitLogEntry(seed, label, i, rec.priority, t - wait, t, wait))
         ages = out.green_age
         state = out.next
 
-        if cfg.mode is SimMode.STEADY:
+        if not drain:
             arrivals = generate_arrivals(cfg, state.tick, draws)
             state, rej = append_arrivals(spec, state, arrivals)
             rejected += rej

@@ -42,7 +42,7 @@ from math import inf
 import numpy as np
 
 from .dynamics import DynamicsConfig, rollout_cost
-from .errors import InvalidSpecError, OracleTooLargeError
+from .errors import OracleTooLargeError
 from .model import (
     IntersectionSpec,
     Phase,
@@ -80,12 +80,11 @@ class SolverConfig:
         _check_int(self.horizon, "horizon", 1)
         if self.wmax is not None:
             # guard threshold must exceed the worst forced wait of a
-            # freshly green queue, or the guard can thrash
-            floor = self.dynamics.phase_ticks * self.dynamics.slow_start
-            if self.wmax <= floor:
-                raise InvalidSpecError(
-                    f"wmax must exceed phase_ticks * slow_start = {floor}"
-                )
+            # freshly green queue, or the guard can thrash; an int, since
+            # the guard, the search's pre-check and the starvation count
+            # read the threshold in three ways that agree only on ints
+            dyn = self.dynamics
+            _check_int(self.wmax, "wmax", dyn.phase_ticks * dyn.slow_start + 1)
 
 
 @dataclass(frozen=True)

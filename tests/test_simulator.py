@@ -529,3 +529,29 @@ def test_horizon_decisions_see_the_phase_stepped_on_the_previous_tick(monkeypatc
     for tick, prev in seen[1:]:
         assert prev == phase_at[tick - 1]
         assert prev.mask
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.F1, PolicyKind.F2, PolicyKind.HORIZON])
+def test_run_episode_calls_the_hooked_tick_functions_once_per_tick(monkeypatch, policy):
+    # the contract the benchmark's tick timer and traced hooks read: each
+    # tick calls `step` once, with the snapshot second; a steady tick then
+    # draws and appends its arrivals once each, and a drain tick neither
+    calls = {"step": [], "generate_arrivals": [], "append_arrivals": []}
+    for name, seen in calls.items():
+        real = getattr(simulator, name)
+
+        def spy(*args, real=real, seen=seen):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simulator, name, spy)
+    for mode in SimMode:
+        for seen in calls.values():
+            seen.clear()
+        cfg = SimConfig(spec=spec12(10), intensity=0.5, seed=2, mode=mode, episode_ticks=60)
+        stats, _ = run_episode(cfg, policy)
+        assert stats.ticks > 0
+        assert [args[1].tick for args in calls["step"]] == list(range(stats.ticks))
+        steady = range(1, stats.ticks + 1) if mode is SimMode.STEADY else range(0)
+        assert [args[1] for args in calls["generate_arrivals"]] == list(steady)
+        assert [args[1].tick for args in calls["append_arrivals"]] == list(steady)

@@ -548,8 +548,8 @@ def test_property_search_equals_oracle_on_random_junctions(case):
     # leaf may tie with a lexicographically smaller optimum: same schedule
     # and cost as the oracle, no more nodes at any depth, and the schedule
     # replayed by rollout_cost costs what the search reported. All-feasible
-    # lists without the guard are scored from parent links,
-    # guard-filtered ones path by path
+    # lists are scored by the incidence product, guard-filtered ones by the
+    # incidence rows of the phases that open the guard's target
     spec, s, prev, cfg = case
     sol = optimize_schedule(spec, s, prev, cfg)
     orc = exhaustive_oracle(spec, s, prev, cfg)
