@@ -208,7 +208,8 @@ class ConflictMatrix:
     """Symmetric boolean P x P matrix of pairwise path conflicts.
 
     Instances are immutable values that store one neighbour bit mask per
-    path, which every accessor reads. Derived structures (the maximal and
+    path, which every accessor reads, and the mask of the paths with no
+    neighbour. Derived structures (the maximal and
     all-feasible phase lists as int masks, one incidence matrix per list,
     the clique cover) are computed lazily, at most once per matrix, and
     cached; nothing is kept per phase. No `Phase` is cached:
@@ -229,6 +230,8 @@ class ConflictMatrix:
             sum(1 << j for j in np.flatnonzero(row).tolist()) for row in data
         )
         self._masks: dict[bool, tuple[int, ...]] = {}  # keyed by maximal_only
+        # paths that conflict with nothing: the AND of the maximal masks
+        self._free = sum(1 << i for i, m in enumerate(self._neighbors) if not m)
         self._incidence: dict[bool, np.ndarray] = {}  # keyed by maximal_only
         self._cliques: tuple[tuple[int, ...], ...] | None = None
 

@@ -18,12 +18,13 @@ one bound row per depth. A node sums the closed-path costs and bounds
 once, and each candidate adjusts only its own open paths by table
 lookups.
 
-Three further cuts leave schedules, costs and the tie-break unchanged,
-and each is explained beside its code: a greedy dive that seeds the
-incumbent and the scoring of all-feasible candidates by one integer
-matrix-vector product per node (`optimize_schedule`), and a clique bound
-on the last block (`_clique_terms`). A mask's open paths come from the
-shared index of `model._set_bits`.
+Four further cuts leave schedules, costs and the tie-break unchanged,
+and each is explained beside its code. Three are in `optimize_schedule`:
+a greedy dive that seeds the incumbent, the scoring of all-feasible
+candidates by one integer matrix-vector product per node, and on maximal
+lists the conflict-free paths priced once per call. The fourth is a
+clique bound on the last block (`_clique_terms`). A mask's open paths
+come from the shared index of `model._set_bits`.
 
 The oracle instead chains one-block `dynamics.rollout_cost` calls, each
 from the state and phase the previous block left. A path open in the
@@ -345,6 +346,19 @@ def optimize_schedule(
     candidate on entry cost more than the nodes it saved. The dive keeps
     the per-path bound, and k = 1 never reads the cover. On the 50 C8
     snapshots at k = 3 nodes fall from 32,712 to 10,476.
+
+    Conflict-free paths. On a maximal list, guarded or not, a queued path
+    that conflicts with nothing (`ConflictMatrix._free`: the near turns of
+    a standard junction, none with `merge_conflicts`) is open in every
+    block of every schedule: cold or warm in the first as `prev_phase`
+    left it, warm after. At every node its accrued cost plus its exact
+    open-path bound tail(e, r, 0) is then one constant C, so every prune,
+    dive pick and leaf comparison moves by C on both sides. The search
+    leaves such paths out of `live`, prices them once from the same table
+    rows and adds C to the cost. The guard reads their front waits at
+    their fixed departed counts, so candidate lists and nodes_by_depth do
+    not change. All-feasible lists, where such a path may stay closed,
+    never take this step.
     """
     t0 = time.perf_counter()
     spec.validate_snapshot(s)
@@ -398,10 +412,10 @@ def optimize_schedule(
         elapsed = depth * big_d
         # no front wait can reach wmax before the oldest vehicle's does
         if wmax is not None and oldest + elapsed >= wmax:
-            target = _guard_target(
-                [waits[i][d[i]] + elapsed if live >> i & 1 else None for i in range(paths)],
-                wmax,
-            )
+            fw = [waits[i][d[i]] + elapsed if live >> i & 1 else None for i in range(paths)]
+            for i, w in fronts[depth]:
+                fw[i] = w
+            target = _guard_target(fw, wmax)
             if target is not None:
                 got = guarded.get(target)
                 if got is None:
@@ -497,6 +511,22 @@ def optimize_schedule(
             chosen.pop()
 
     live0 = sum(1 << i for i in range(paths) if lens[i])
+    # queued conflict-free paths are priced once, out of `live`, and the
+    # guard reads their fixed fronts per depth (see the docstring)
+    free = live0 & spec.conflicts._free if cfg.maximal_only else 0
+    fixed_cost = 0
+    fronts: list = [()] * k
+    if free:
+        live0 ^= free
+        fronts = [[] for _ in range(k)]
+        for i in _set_bits(free):
+            e, w = 0, prev_phase.mask >> i & 1
+            for depth in range(k):
+                if e < lens[i]:
+                    fronts[depth].append((i, waits[i][e] + depth * big_d))
+                _, dc, nxt = levels[depth][1][w][i][e]
+                fixed_cost += closed[i][e] + dc
+                e, w = nxt, 1
     if k > 1:
         dfs(0, 0, [0] * paths, prev_phase.mask, live0, True)
         # start one above the dive's cost (see the docstring)
@@ -506,7 +536,7 @@ def optimize_schedule(
     dfs(0, 0, [0] * paths, prev_phase.mask, live0, False)
     assert best_schedule is not None and best_cost is not None
     schedule = tuple([Phase(m, paths) for m in best_schedule])
-    return Solution(schedule, best_cost, tuple(by_depth), time.perf_counter() - t0)
+    return Solution(schedule, best_cost + fixed_cost, tuple(by_depth), time.perf_counter() - t0)
 
 
 def exhaustive_oracle(

@@ -1,5 +1,8 @@
 """Tests for the branch-and-bound schedule search and its brute-force twin."""
 
+import os
+from functools import cache
+
 import numpy as np
 import pytest
 from hypothesis import Phase as HypothesisPhase
@@ -17,6 +20,7 @@ from greenlight import (
     TrafficSnapshot,
     Turn,
     SimConfig,
+    SimMode,
     VehicleRecord,
     candidate_phases,
     enumerate_feasible_phases,
@@ -30,9 +34,11 @@ from greenlight import (
     seed_initial_queues,
     standard_movements,
 )
+import greenlight.cli as cli
 from greenlight.cli import main as cli_main
 from greenlight.errors import DimensionError, InvalidSpecError, OracleTooLargeError, TooManyPhasesError
 import greenlight.model as model
+import greenlight.simulator as simulator
 import greenlight.solver as solver
 from greenlight.model import _bits, _set_bits
 from greenlight.solver import _clique_terms, _phases_opening, _tables
@@ -611,6 +617,133 @@ def test_property_search_equals_bellman_reference_at_depth_four_and_five(case):
     s, prev, cfg = case
     sol = optimize_schedule(DEEP_SPEC, s, prev, cfg)
     assert (sol.cost, sol.schedule) == bellman_plan(DEEP_SPEC, s, prev, cfg)
+
+
+@cache
+def drain_grid_decisions():
+    """(spec, snapshot, prev_phase, cfg) of every horizon decision of the C3 drain grid.
+
+    C3's sweep (4 intensities, the default junction at queue cap 21 and
+    default settings) at seeds 0-4, horizon episodes only, since f1 and
+    f2 never plan: 342 decisions.
+    """
+    seen = []
+    real = simulator.decide_horizon_opt
+
+    def spy(spec, s, st, cfg):
+        seen.append((spec, s, st.prev_phase, cfg))
+        return real(spec, s, st, cfg)
+
+    sweep = cli.SweepSpec(intensities=(0.25, 0.5, 0.75, 1.0), runs=5, policies=(PolicyKind.HORIZON,))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "decide_horizon_opt", spy)
+        for _ in cli.sweep_episodes(IntersectionSpec.standard(), sweep, SimMode.DRAIN, SolverConfig()):
+            pass
+    return tuple(seen)
+
+
+def test_drain_grid_decisions_equal_the_bellman_reference():
+    # the states the C3 grid really plans from, with queues of up to 21,
+    # past the oracle's reach: the search returns the reference's schedule
+    # and cost. Tier-1 checks every tenth decision and each episode's first,
+    # where all four near turns are queued, so the conflict-free paths are
+    # priced apart; GREENLIGHT_ALL_DECISIONS=1 checks all 342
+    decisions = drain_grid_decisions()
+    assert len(decisions) == 342
+    firsts = [j for j, (_, s, _, _) in enumerate(decisions) if s.tick == 0]
+    assert len(firsts) == 20
+    assert all(decisions[j][1].queues[i] for j in firsts for i in (0, 3, 6, 9))
+    checked = sorted(set(firsts) | set(range(0, len(decisions), 10)))
+    if os.environ.get("GREENLIGHT_ALL_DECISIONS") == "1":
+        checked = range(len(decisions))
+    for j in checked:
+        spec, s, prev, cfg = decisions[j]
+        sol = optimize_schedule(spec, s, prev, cfg)
+        assert (sol.cost, sol.schedule) == bellman_plan(spec, s, prev, cfg), j
+
+
+def free_path_cases():
+    """Deterministic plans around the conflict-free paths, as pytest params.
+
+    On standard(4) paths 0, 3, 6 and 9 (the near turns) conflict with
+    nothing, and path 1 conflicts with 4, 5, 8 and 10.
+    """
+    four = IntersectionSpec.standard(max_queue_len=8)
+    loaded = {i: [(3, 8), (1, 4), (2, 0)] for i in range(12)}
+    # the guard targets near turn 0 (front wait 70); without that front it
+    # would target path 4 (62), which conflicts with the heavy path 1
+    guard_on_free = snapshot_with(
+        four, {0: [(1, 70), (1, 10), (1, 5)], 4: [(1, 62)], 1: [(10, 0)] * 6, 5: [(2, 30)]}
+    )
+    assert solver._guard_target([q[0].wait if q else None for q in guard_on_free.queues], 60) == 0
+    # path 3 empties in block 1 and path 0 in block 2; path 6's lone
+    # vehicle (wait 58) leaves in block 1, before path 2's front (57)
+    # crosses wmax at depth 1
+    emptying = snapshot_with(
+        four, {3: [(2, 5), (1, 0)], 0: [(1, 0)] * 6, 6: [(1, 58)], 2: [(1, 57), (5, 0)],
+               7: [(3, 20)] * 3, 10: [(4, 10)] * 2}
+    )
+    some_free = Phase(0b11, 12)  # near turn 0 and straight 1: opens one free path
+    cases = []
+    for k in (2, 3, 4):
+        cases.append(pytest.param(four, guard_on_free, four.all_closed(), SolverConfig(horizon=k),
+                                  id=f"guard-targets-a-free-path-k{k}"))
+        cases.append(pytest.param(four, emptying, Phase(0b1001001111, 12), SolverConfig(horizon=k),
+                                  id=f"free-queue-empties-k{k}"))
+    s = snapshot_with(four, loaded)
+    for name, prev in (("closed", four.all_closed()), ("open", Phase(0b1001001111, 12)),
+                       ("partly-open", some_free)):
+        for k in (1, 3, 5):
+            cases.append(pytest.param(four, s, prev, SolverConfig(horizon=k, wmax=None),
+                                      id=f"prev-{name}-k{k}"))
+    for arms, ks in ((3, (3, 5)), (5, (2, 4))):
+        spec = IntersectionSpec.standard(arms, max_queue_len=6)
+        s = snapshot_with(spec, {i: [(1 + i % 3, 4 * i), (2, 0)] for i in range(spec.num_paths)})
+        for k in ks:
+            cases.append(pytest.param(spec, s, spec.all_closed(), SolverConfig(horizon=k),
+                                      id=f"standard{arms}-k{k}"))
+    cases.append(pytest.param(four, snapshot_with(four, loaded), four.all_closed(),
+                              SolverConfig(horizon=1, maximal_only=False), id="all-feasible-k1"))
+    merged = IntersectionSpec.standard(max_queue_len=8, merge_conflicts=True)
+    for k in (2, 4):
+        cases.append(pytest.param(merged, snapshot_with(merged, loaded), merged.all_closed(),
+                                  SolverConfig(horizon=k), id=f"merge-conflicts-k{k}"))
+    tiny = zero_conflict_spec(max_queue_len=4)
+    s = snapshot_with(tiny, {0: [(1, 0)] * 4, 1: [(2, 61), (1, 0)], 2: [(5, 0)]})
+    for maximal_only in (True, False):
+        for k in (2, 5):
+            cases.append(pytest.param(tiny, s, Phase(0b001, 3),
+                                      SolverConfig(horizon=k, maximal_only=maximal_only),
+                                      id=f"no-conflicts-maximal-{maximal_only}-k{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("spec, s, prev, cfg", free_path_cases())
+def test_search_prices_conflict_free_paths_exactly(spec, s, prev, cfg):
+    # the search prices queued conflict-free paths once on maximal lists:
+    # the same schedule and cost as the oracle (k <= 3, with no more nodes
+    # at any depth) or the Bellman reference (k = 4-5), and the schedule
+    # replays at its reported cost
+    sol = optimize_schedule(spec, s, prev, cfg)
+    if cfg.horizon <= 3:
+        assert_search_equals_oracle(sol, exhaustive_oracle(spec, s, prev, cfg), cfg.horizon)
+    else:
+        assert (sol.cost, sol.schedule) == bellman_plan(spec, s, prev, cfg)
+    assert rollout_cost(spec, s, sol.schedule, prev, cfg.dynamics)[0] == sol.cost
+
+
+def test_conflict_free_mask_is_the_and_of_the_maximal_phases():
+    # the cached mask the search reads: the near turns of standard
+    # junctions, none with merge_conflicts, every path with no conflicts
+    for arms in (3, 4, 5, 6):
+        cm = IntersectionSpec.standard(arms).conflicts
+        together = (1 << cm.paths) - 1
+        for m in cm.phase_masks(True):
+            together &= m
+        assert cm._free == together == sum(1 << i for i in range(0, cm.paths, 3))
+    assert IntersectionSpec.standard(merge_conflicts=True).conflicts._free == 0
+    assert zero_conflict_spec().conflicts._free == 0b111
+    assert crossing_pair_spec().conflicts._free == 0
 
 
 @given(random_junction_cases(max_paths=6))
