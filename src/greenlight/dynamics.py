@@ -9,10 +9,9 @@ therefore accumulate priority-weighted completed waiting ticks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from threading import Lock
 
 from .errors import DimensionError, InvalidSpecError
-from .model import IntersectionSpec, Phase, TrafficSnapshot, VehicleRecord, _check_int, _check_phase
+from .model import IntersectionSpec, Phase, TrafficSnapshot, VehicleRecord, _check_int, _check_phase, _older_than
 
 
 @dataclass(frozen=True)
@@ -50,43 +49,6 @@ class StepOutcome:
         return sum([v.priority for q in self.next.queues for v in q])
 
 
-# The row memo: _ROWS[p][w] is the one shared record (p, w). It holds at
-# most _MEMO_BOUND records over all its rows; _memo_size counts them.
-_MEMO_BOUND = 1 << 16
-_ROWS: dict[int, list[VehicleRecord]] = {}
-_memo_size = 0
-_GROW_LOCK = Lock()
-
-
-def _record(priority: int, wait: int) -> VehicleRecord:
-    """The one shared record for a (priority, wait) pair, read by `step` alone.
-
-    Records are immutable values with int fields, so every queued vehicle
-    with the same pair can hold the same instance. Each priority has one
-    row of records indexed by wait, and a record handed out here always
-    has its successor (priority, wait + 1) in the row too, so `step` ages
-    it with one index. A miss grows the row, at least doubling it, through
-    the validating constructor. Past the bound the record is built fresh
-    and not stored.
-    """
-    global _memo_size
-    row = _ROWS.get(priority, ())
-    if wait + 1 < len(row):
-        return row[wait]
-    # the lock keeps each row's index equal to its records' wait when two
-    # threads miss at once; readers only ever see a row grow
-    with _GROW_LOCK:
-        row = _ROWS.get(priority, [])
-        have = len(row)
-        want = min(max(wait + 2, 2 * have), have + _MEMO_BOUND - _memo_size)
-        if want < wait + 2:
-            return VehicleRecord(priority, wait)
-        row.extend([VehicleRecord(priority, w) for w in range(have, want)])
-        _ROWS[priority] = row
-        _memo_size += want - have
-    return row[wait]
-
-
 def step(
     spec: IntersectionSpec,
     s: TrafficSnapshot,
@@ -106,11 +68,10 @@ def step(
     tick, age + 1 for an open path and 0 for a closed one; the caller
     passes it to the next call under any phase.
 
-    Aged vehicles are not rebuilt: only `step` reads the row memo, and any
-    record ages to `_ROWS[priority][wait + 1]`, one index per vehicle. A
-    queue holding a record with no successor there (a priority without a
-    row yet, a wait past its row's end or past the bound) ages through
-    `_record` instead. Either way the records compare equal to fresh ones.
+    Aged vehicles are not rebuilt: a record ages into its stored
+    successor (`model._older_than`), one slot read per vehicle. A queue
+    holding a record not yet aged builds the missing successors once.
+    Either way the records compare equal to fresh ones.
     """
     spec.validate_snapshot(s)
     if len(green_age) != spec.num_paths:
@@ -121,7 +82,6 @@ def step(
 
     mask = phase.mask
     slow_start = cfg.slow_start
-    rows = _ROWS
     departed = []
     next_queues = []
     for i, q in enumerate(s.queues):
@@ -130,9 +90,9 @@ def step(
                 departed.append((i, q[0]))
                 q = q[1:]
             try:
-                q = tuple([rows[v.priority][v.wait + 1] for v in q])
-            except LookupError:  # a record with no successor in the rows
-                q = tuple([_record(v.priority, v.wait + 1) for v in q])
+                q = tuple([v._older for v in q])
+            except AttributeError:  # a record with no successor yet
+                q = tuple([_older_than(v) for v in q])
         next_queues.append(q)
     return StepOutcome(
         TrafficSnapshot(s.tick + 1, tuple(next_queues)),

@@ -98,6 +98,12 @@ def _check_int(value: object, name: str, low: int, error: type[Exception] = Inva
         raise error(_int_problem(value, name, low))
 
 
+def _check_merge(merge_conflicts: object) -> None:
+    """The one rule for `merge_conflicts`: exactly a bool, as an instance file must hold."""
+    if type(merge_conflicts) is not bool:
+        raise InvalidSpecError(f"merge_conflicts must be a boolean, got {merge_conflicts!r}")
+
+
 @dataclass(frozen=True)
 class Movement:
     """One traffic path: vehicles entering at entry_arm and turning `turn`."""
@@ -348,6 +354,7 @@ def build_conflict_matrix(
     is set.
     """
     side = _as_enum(DrivingSide, side, "driving side")
+    _check_merge(merge_conflicts)
     n = len(paths)
     exits = _path_exits(arms, paths, side)
     data = np.zeros((n, n), dtype=bool)
@@ -494,9 +501,17 @@ def enumerate_feasible_phases(
     return [Phase(m, conflicts.paths) for m in conflicts.phase_masks(maximal_only)]
 
 
+class _Aging:
+    __slots__ = ("_older",)  # the record one tick older, once built; not a field
+
+
 @dataclass(frozen=True)
-class VehicleRecord:
-    """One queued vehicle: its priority class and accumulated waiting ticks."""
+class VehicleRecord(_Aging):
+    """One queued vehicle: its priority class and accumulated waiting ticks.
+
+    Records are shared immutable values; `step` ages one into the successor
+    stored on it (`_older_than`). Pickles and copies carry the fields only.
+    """
 
     priority: int
     wait: int = 0
@@ -504,6 +519,19 @@ class VehicleRecord:
     def __post_init__(self) -> None:
         _check_int(self.priority, "priority", 1)
         _check_int(self.wait, "wait", 0)
+
+    def __reduce__(self) -> tuple[type, tuple[int, int]]:
+        return VehicleRecord, (self.priority, self.wait)
+
+
+def _older_than(v: VehicleRecord) -> VehicleRecord:
+    """The record (priority, wait + 1) that `v` ages into: built on the
+    first call and stored on `v`, the same instance on every later one."""
+    older = getattr(v, "_older", None)
+    if older is None:
+        older = VehicleRecord(v.priority, v.wait + 1)
+        object.__setattr__(v, "_older", older)
+    return older
 
 
 @dataclass(frozen=True)
@@ -549,14 +577,10 @@ class IntersectionSpec:
             raise InvalidSpecError("at least one path required")
         _check_int(self.max_queue_len, "max_queue_len", 1)
         _path_exits(self.arms, self.paths, self.driving_side)
+        _check_merge(self.merge_conflicts)
         if self.conflicts is None:
-            object.__setattr__(
-                self,
-                "conflicts",
-                build_conflict_matrix(
-                    self.arms, self.paths, self.driving_side, self.merge_conflicts
-                ),
-            )
+            built = build_conflict_matrix(self.arms, self.paths, side, self.merge_conflicts)
+            object.__setattr__(self, "conflicts", built)
         if self.conflicts.paths != len(self.paths):
             raise DimensionError(
                 f"conflict matrix covers {self.conflicts.paths} paths, "

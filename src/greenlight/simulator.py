@@ -35,7 +35,8 @@ ARRIVAL_RATE_SCALE = 0.3
 TICK_SECONDS = 5.0
 TICK_CAP = 100_000
 _DRAW_BLOCK = 4096
-# each class's one wait-0 record, shared by its seeded vehicles and arrivals
+# each class's one wait-0 record, shared by its seeded vehicles and arrivals:
+# the root of the chain of successors that `step` ages them along
 _CLASS_RECORD = {weight: VehicleRecord(weight) for weight, _ in PRIORITY_CLASSES}
 
 

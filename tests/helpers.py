@@ -1,12 +1,29 @@
 """Junctions, snapshots, references and hypothesis strategies shared by the test modules."""
 
+from collections import deque
 from functools import cache
+from itertools import accumulate
 
 import numpy as np
 from hypothesis import strategies as st
 
-from greenlight import ConflictMatrix, IntersectionSpec, Phase, TrafficSnapshot, VehicleRecord
+from greenlight import (
+    ConflictMatrix,
+    EpisodeStats,
+    IntersectionSpec,
+    Phase,
+    PolicyKind,
+    SimMode,
+    SolverConfig,
+    TrafficSnapshot,
+    VehicleRecord,
+    WaitLogEntry,
+    decide_f1,
+    decide_f2,
+    optimize_schedule,
+)
 from greenlight.errors import InvalidSpecError
+from greenlight.simulator import ARRIVAL_RATE_SCALE, PRIORITY_CLASSES, TICK_CAP, TICK_SECONDS
 
 
 def spec12(max_queue_len=6):
@@ -93,6 +110,76 @@ def bellman_plan(spec, s, prev_phase, cfg):
 
     cost, schedule = best(0, (0,) * paths, prev_phase.mask)
     return cost, tuple(Phase(m, paths) for m in schedule)
+
+
+def implicit_wait_episode(cfg, policy, solver_cfg=None):
+    """`run_episode` rebuilt on implicit waits, as (stats, wait log, summed tick cost).
+
+    Each path is a deque of (priority, enter tick), so a vehicle's wait is
+    the tick minus its enter tick and no record is ever aged. The draws come
+    from a plain Generator in the documented order: the initial queues path
+    by path, front to back, then per tick one Bernoulli draw per path
+    ascending and one priority draw per arrival, drawn even when the queue
+    is full. Rejections, green ages and the statistics are worked out here.
+    Of the library only the decisions are called: `decide_f1`, `decide_f2`
+    and `optimize_schedule`, each on a snapshot of fresh records. The
+    summed cost adds the priority still queued after every tick.
+    """
+    spec, solver_cfg = cfg.spec, solver_cfg or SolverConfig()
+    ticks, slow = solver_cfg.dynamics.phase_ticks, solver_cfg.dynamics.slow_start
+    rate = cfg.intensity * ARRIVAL_RATE_SCALE
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    weights = [w for w, _ in PRIORITY_CLASSES]
+    cuts = list(accumulate(prob for _, prob in PRIORITY_CLASSES))
+
+    def priority():  # inverse CDF over the class list order
+        u = rng.random()
+        return next((w for w, cut in zip(weights, cuts) if u < cut), weights[-1])
+
+    fill = spec.fill_count(cfg.intensity)
+    queues = [deque((priority(), 0) for _ in range(fill)) for _ in range(spec.num_paths)]
+    ages = [0] * spec.num_paths
+    phase, log, rejected, cost, t = spec.all_closed(), [], 0, 0, 0
+    load = sum(p for q in queues for p, _ in q)  # the priority queued
+    while (any(queues) and t < TICK_CAP) if cfg.mode is SimMode.DRAIN else t < cfg.episode_ticks:
+        if t % ticks == 0:
+            snap = TrafficSnapshot(t, tuple(tuple(VehicleRecord(p, t - e) for p, e in q) for q in queues))
+            if policy is PolicyKind.HORIZON:
+                phase = optimize_schedule(spec, snap, phase, solver_cfg).schedule[0]
+            elif policy is PolicyKind.F1:
+                phase = decide_f1(snap, spec.conflicts)
+            else:
+                phase = decide_f2(t, spec.conflicts, ticks)
+        for i, q in enumerate(queues):
+            if phase.mask >> i & 1:
+                if q and ages[i] >= slow:
+                    p, e = q.popleft()
+                    load -= p
+                    log.append(WaitLogEntry(cfg.seed, policy.value, i, p, e, t, t - e))
+                ages[i] += 1
+            else:
+                ages[i] = 0
+        t += 1
+        cost += load
+        if cfg.mode is SimMode.STEADY:
+            for q in queues:
+                if rng.random() < rate:
+                    p = priority()
+                    if len(q) < spec.max_queue_len:
+                        q.append((p, t))
+                        load += p
+                    else:
+                        rejected += 1
+    waits = [e.wait_ticks for e in log]
+    wmax = solver_cfg.wmax
+    queued = [t - e for q in queues for _, e in q]
+    mean = float(np.mean(waits)) if waits else 0.0
+    stats = EpisodeStats(
+        mean, mean * TICK_SECONDS, float(np.std(waits)) if waits else 0.0, max(waits, default=0),
+        len(log), rejected, 0 if wmax is None else sum(w > wmax for w in waits + queued),
+        not (cfg.mode is SimMode.DRAIN and any(queues)), t,
+    )
+    return stats, tuple(log), cost
 
 
 def symmetric_array_strategy(max_paths=10):

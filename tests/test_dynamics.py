@@ -1,5 +1,9 @@
 """Tests for the one-tick transition, trajectory cost, and the search bound."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +27,7 @@ from greenlight import (
     seed_initial_queues,
     step,
 )
-from greenlight import dynamics, simulator
-from greenlight.dynamics import _MEMO_BOUND, _ROWS, _record
+from greenlight import simulator
 from greenlight.errors import (
     ConstraintViolationError,
     DimensionError,
@@ -316,10 +319,11 @@ STEP_TIMINGS = (
 def test_property_step_matches_fresh_record_reference(data):
     # equality with the plain tick also pins its consequences: vehicles are
     # conserved, survivors age by exactly one, the cost is the survivors'
-    # priority sum; the all-red phase is drawn too, where nobody leaves
-    # waits past the memo bound age through fresh records, not the rows
+    # priority sum; the all-red phase is drawn too, where nobody leaves.
+    # The range around 1 << 16 keeps the fixed-seed draws as they are; at
+    # any wait a record ages into the successor built on its first tick
     spec = spec12()
-    wait = st.one_of(st.integers(0, 300), st.integers(_MEMO_BOUND - 2, _MEMO_BOUND + 300))
+    wait = st.one_of(st.integers(0, 300), st.integers((1 << 16) - 2, (1 << 16) + 300))
     vehicle = st.tuples(st.integers(1, 10), wait)
     raw = data.draw(st.lists(st.lists(vehicle, max_size=6), min_size=12, max_size=12))
     s = snapshot_with(spec, dict(enumerate(raw)), tick=data.draw(st.integers(0, 1000)))
@@ -349,36 +353,37 @@ def overloaded_episodes():
     ]
 
 
-def test_row_memo_stays_within_its_bound(monkeypatch):
+def test_class_roots_chain_up_to_the_longest_wait_of_their_class(monkeypatch):
     episodes = overloaded_episodes()
-    assert _MEMO_BOUND == 1 << 16
-    assert 0 < dynamics._memo_size <= _MEMO_BOUND
-    # every row holds record (p, w) at index w, and the count is their length
-    for p, row in _ROWS.items():
-        assert all(type(v) is VehicleRecord and v == VehicleRecord(p, w) for w, v in enumerate(row))
-    assert sum(map(len, _ROWS.values())) == dynamics._memo_size
-    past = _record(1, _MEMO_BOUND)
-    assert type(past) is VehicleRecord
-    assert past == VehicleRecord(1, _MEMO_BOUND)
+    # on fresh class roots the same episodes give the same results, and each
+    # root's successors walk (p, 1), (p, 2), ... up to exactly the longest
+    # wait a vehicle of its class reached, departed or still queued
+    roots = {p: VehicleRecord(p) for p in simulator._CLASS_RECORD}
+    monkeypatch.setattr(simulator, "_CLASS_RECORD", roots)
+    longest = dict.fromkeys(roots, 0)
+    real_step = simulator.step
 
-    # on a fresh memo with a small bound the same episodes fill it, then
-    # run on fresh records past it with the same results
-    monkeypatch.setattr(dynamics, "_ROWS", {})
-    monkeypatch.setattr(dynamics, "_memo_size", 0)
-    monkeypatch.setattr(dynamics, "_MEMO_BOUND", 100)
+    def spy(*args):
+        out = real_step(*args)
+        for v in (v for q in out.next.queues for v in q):
+            longest[v.priority] = max(longest[v.priority], v.wait)
+        return out
+
+    monkeypatch.setattr(simulator, "step", spy)
     assert overloaded_episodes() == episodes
-    assert 90 < dynamics._memo_size <= 100
-    past = dynamics._record(1, 100)
-    assert type(past) is VehicleRecord
-    assert past == VehicleRecord(1, 100)
-    assert dynamics._memo_size <= 100
+    for p, v in roots.items():
+        w = 0
+        while hasattr(v, "_older"):
+            v, w = v._older, w + 1
+            assert type(v) is VehicleRecord and v == VehicleRecord(p, w)
+        assert w == longest[p] > 0
 
 
-def test_step_ages_seeded_vehicles_into_the_memo_rows():
+def test_step_ages_seeded_vehicles_into_their_successors():
     spec = IntersectionSpec.standard()
     s = seed_initial_queues(SimConfig(spec=spec, intensity=1.0, seed=5))
-    # a seeded vehicle is its class's one record; each tick ages it into
-    # the rows, to _ROWS[p][1] after the first
+    # a seeded vehicle is its class's one record; each tick ages every
+    # vehicle that stays into the successor of the record it held before
     for q in s.queues:
         for v in q:
             assert v is simulator._CLASS_RECORD[v.priority]
@@ -387,15 +392,16 @@ def test_step_ages_seeded_vehicles_into_the_memo_rows():
     for _ in range(3):
         out = step(spec, s, phase, ages, DynamicsConfig())
         assert out.departed
-        for q in out.next.queues:
-            for v in q:
-                assert v is _ROWS[v.priority][v.wait]
+        left = [q[1:] if phase.is_open(i) else q for i, q in enumerate(s.queues)]
+        assert [len(q) for q in out.next.queues] == [len(q) for q in left]
+        for before, after in zip(left, out.next.queues):
+            assert all(new is old._older for old, new in zip(before, after))
         s, ages = out.next, out.green_age
 
 
-def test_step_ages_caller_built_records_off_the_rows():
-    # priority 7 has no row from the simulator, and wait 10**6 lies past
-    # every row: both queues age through fresh records, open and closed
+def test_step_ages_caller_built_records():
+    # priority 7 is no simulator class and wait 10**6 lies past every class
+    # chain: both queues age into successors built for them, open and closed
     spec = spec12()
     far = 10**6
     s = snapshot_with(spec, {0: [(7, far), (7, far), (1, far)], 5: [(7, far), (3, 2)]})
@@ -409,6 +415,29 @@ def test_step_ages_caller_built_records_off_the_rows():
         assert out.green_age == ref_ages
         assert all(type(v) is VehicleRecord for q in out.next.queues for v in q)
     assert out.next.queues[0] == (VehicleRecord(7, far + 1),) * 2 + (VehicleRecord(1, far + 1),)
+    # the second tick from the same snapshot reused the successors the first built
+    assert all(new is old._older for old, new in zip(s.queues[0], out.next.queues[0]))
+
+
+def test_copies_and_pickles_of_an_aged_record_carry_its_fields_only():
+    # a 5,000-tick chain of successors hangs off the root; a copy or a
+    # pickle that walked it would recurse past the interpreter's limit
+    spec = spec12()
+    root = VehicleRecord(3)
+    s = TrafficSnapshot(0, ((root,),) + ((),) * 11)
+    for _ in range(5000):
+        s = step(spec, s, spec.all_closed(), [0] * 12, DynamicsConfig()).next
+    assert s.queues[0] == (VehicleRecord(3, 5000),)
+    copies = [pickle.loads(pickle.dumps(root, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in copies + [copy.copy(root), copy.deepcopy(root)]:
+        assert type(c) is VehicleRecord and c == root and c is not root
+        assert not hasattr(c, "_older")
+    assert [f.name for f in dataclasses.fields(root)] == ["priority", "wait"]
+    assert dataclasses.asdict(root) == {"priority": 3, "wait": 0}
+    assert root == VehicleRecord(3) and hash(root) == hash(VehicleRecord(3))
+    assert repr(root) == "VehicleRecord(priority=3, wait=0)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        root._older = VehicleRecord(3, 1)
 
 
 @given(tri_snapshot_strategy(), st.integers(min_value=1, max_value=2))

@@ -410,6 +410,20 @@ API_ROWS = {
                                    f"intensity must be a real number, got {bad!r}")
         for label, bad in (("bool", True), ("str", "0.5"))
     },
+    # a non-bool flag would be read for its truth, so "no" would merge and
+    # save a file load_instance refuses; the message starts with that
+    # file check's text
+    **{
+        f"{name}_merge_conflicts_{label}": (lambda make=make, bad=bad: make(bad), InvalidSpecError,
+                                            f"merge_conflicts must be a boolean, got {bad!r}")
+        for name, make in (
+            ("spec", lambda x: IntersectionSpec.standard(merge_conflicts=x)),
+            ("spec_with_matrix", lambda x: IntersectionSpec(4, MOVES, 1, merge_conflicts=x,
+                                                            conflicts=SPEC.conflicts)),
+            ("conflict_matrix", lambda x: build_conflict_matrix(4, MOVES, merge_conflicts=x)),
+        )
+        for label, bad in (("str", "no"), ("int", 1), ("none", None))
+    },
     # a float or a bool in an integer field: not an int, whatever its value
     **{
         f"{name}_{label}": (lambda make=make, bad=bad: make(bad), error,

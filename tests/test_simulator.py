@@ -1,6 +1,7 @@
 """Tests for the seeded episode runner and its statistics."""
 
 import math
+import os
 from collections import deque
 from types import SimpleNamespace
 
@@ -41,7 +42,7 @@ from greenlight import (
 )
 from greenlight.errors import InvalidSpecError
 
-from helpers import spec12
+from helpers import implicit_wait_episode, spec12
 
 
 def test_sim_config_validation():
@@ -501,6 +502,40 @@ def test_run_episode_equals_the_step_reference_loop(policy, mode):
     # `full` ran last
     assert ours[0].starvation_events > 0
     assert (ours[0].rejected_arrivals > 0) == (mode is SimMode.STEADY)
+
+
+def implicit_wait_cases(mode):
+    """(cfg, solver_cfg) pairs held to `implicit_wait_episode`: the step
+    reference's cases, plus a guard-off steady one; with
+    GREENLIGHT_ALL_EPISODES=1, the 63 episodes per mode of the full set."""
+    if os.environ.get("GREENLIGHT_ALL_EPISODES") == "1":
+        cases = [
+            (SimConfig(IntersectionSpec.standard(), x, seed=s, mode=mode, episode_ticks=1000), None)
+            for x in (0.25, 0.5, 0.75, 1.0) for s in range(5)
+        ]
+        return cases + [(SimConfig(spec12(6), 1.0, seed=3, mode=mode, episode_ticks=1000), SolverConfig(wmax=12))]
+    cases = [
+        (SimConfig(spec12(10), 0.5, seed=s, mode=mode, episode_ticks=150), None) for s in (0, 1, 2)
+    ]
+    cases.append((SimConfig(spec12(6), 1.0, seed=3, mode=mode, episode_ticks=150), SolverConfig(wmax=12)))
+    if mode is SimMode.STEADY:
+        cases.append((SimConfig(spec12(6), 1.0, seed=3, mode=mode, episode_ticks=150), SolverConfig(wmax=None)))
+    return cases
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.F1, PolicyKind.F2, PolicyKind.HORIZON])
+@pytest.mark.parametrize("mode", [SimMode.DRAIN, SimMode.STEADY])
+def test_run_episode_equals_the_implicit_wait_reference(policy, mode):
+    # a reference that shares no dynamics, seeding or arrival code: equal
+    # stats and wait logs check the aging of queued records end to end, and
+    # a drained episode's tick costs sum to its priority-weighted waits
+    for cfg, solver_cfg in implicit_wait_cases(mode):
+        stats, log, cost = implicit_wait_episode(cfg, policy, solver_cfg)
+        assert run_episode(cfg, policy, solver_cfg) == (stats, log)
+        assert stats.throughput > 0
+        if mode is SimMode.DRAIN:
+            assert stats.terminated
+            assert cost == sum(e.priority * e.wait_ticks for e in log)
 
 
 @pytest.mark.parametrize("mode", [SimMode.DRAIN, SimMode.STEADY])
