@@ -98,10 +98,10 @@ def _check_int(value: object, name: str, low: int, error: type[Exception] = Inva
         raise error(_int_problem(value, name, low))
 
 
-def _check_merge(merge_conflicts: object) -> None:
-    """The one rule for `merge_conflicts`: exactly a bool, as an instance file must hold."""
-    if type(merge_conflicts) is not bool:
-        raise InvalidSpecError(f"merge_conflicts must be a boolean, got {merge_conflicts!r}")
+def _check_bool(value: object, name: str) -> None:
+    """The one rule for a flag: exactly a bool, never a value read for its truth."""
+    if type(value) is not bool:
+        raise InvalidSpecError(f"{name} must be a boolean, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -354,7 +354,7 @@ def build_conflict_matrix(
     is set.
     """
     side = _as_enum(DrivingSide, side, "driving side")
-    _check_merge(merge_conflicts)
+    _check_bool(merge_conflicts, "merge_conflicts")
     n = len(paths)
     exits = _path_exits(arms, paths, side)
     data = np.zeros((n, n), dtype=bool)
@@ -577,7 +577,7 @@ class IntersectionSpec:
             raise InvalidSpecError("at least one path required")
         _check_int(self.max_queue_len, "max_queue_len", 1)
         _path_exits(self.arms, self.paths, self.driving_side)
-        _check_merge(self.merge_conflicts)
+        _check_bool(self.merge_conflicts, "merge_conflicts")
         if self.conflicts is None:
             built = build_conflict_matrix(self.arms, self.paths, side, self.merge_conflicts)
             object.__setattr__(self, "conflicts", built)

@@ -49,6 +49,7 @@ from .model import (
     Phase,
     TrafficSnapshot,
     _bits,
+    _check_bool,
     _check_int,
     _check_phase,
     _set_bits,
@@ -79,6 +80,7 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         _check_int(self.horizon, "horizon", 1)
+        _check_bool(self.maximal_only, "maximal_only")
         if self.wmax is not None:
             # guard threshold must exceed the worst forced wait of a
             # freshly green queue, or the guard can thrash; an int, since
@@ -359,6 +361,11 @@ def optimize_schedule(
     their fixed departed counts, so candidate lists and nodes_by_depth do
     not change. All-feasible lists, where such a path may stay closed,
     never take this step.
+
+    Guard reads. Set-up reads each queue's priorities once (the `_tables`
+    key) and its waits in the first (k - 1) x phase_ticks + 1 records only.
+    A block departs at most phase_ticks vehicles a path, so every front the
+    search reads lies there, and `oldest` still bounds them all.
     """
     t0 = time.perf_counter()
     spec.validate_snapshot(s)
@@ -371,10 +378,10 @@ def optimize_schedule(
 
     base = spec.conflicts.phase_masks(cfg.maximal_only)
 
-    lens = [len(q) for q in s.queues]
-    waits = [[v.wait for v in q] for q in s.queues]
+    queues = s.queues
+    lens = [len(q) for q in queues]
     closed, cold_bounds, colds, warms = zip(
-        *(_tables(tuple([v.priority for v in q]), big_d, dyn.slow_start, k) for q in s.queues)
+        *(_tables(tuple([v.priority for v in q]), big_d, dyn.slow_start, k) for q in queues)
     )
     # per depth: each path's cold bound row, then its open rows by warmth
     levels = [
@@ -384,7 +391,8 @@ def optimize_schedule(
         )
         for depth in range(k)
     ]
-    oldest = max((w for q in waits for w in q), default=-1)
+    reach = (k - 1) * big_d + 1  # no front the guard reads lies deeper (see the docstring)
+    oldest = max([v.wait for q in queues for v in q[:reach]], default=-1)
     # all-feasible lists are scored by one product (see the docstring);
     # a guard target maps to its phases and, for them, their incidence rows
     incidence = None if cfg.maximal_only else spec.conflicts.incidence(False)
@@ -410,9 +418,9 @@ def optimize_schedule(
         cands = base
         scores = incidence
         elapsed = depth * big_d
-        # no front wait can reach wmax before the oldest vehicle's does
+        # no front wait can reach wmax before the oldest one in reach does
         if wmax is not None and oldest + elapsed >= wmax:
-            fw = [waits[i][d[i]] + elapsed if live >> i & 1 else None for i in range(paths)]
+            fw = [queues[i][d[i]].wait + elapsed if live >> i & 1 else None for i in range(paths)]
             for i, w in fronts[depth]:
                 fw[i] = w
             target = _guard_target(fw, wmax)
@@ -523,7 +531,7 @@ def optimize_schedule(
             e, w = 0, prev_phase.mask >> i & 1
             for depth in range(k):
                 if e < lens[i]:
-                    fronts[depth].append((i, waits[i][e] + depth * big_d))
+                    fronts[depth].append((i, queues[i][e].wait + depth * big_d))
                 _, dc, nxt = levels[depth][1][w][i][e]
                 fixed_cost += closed[i][e] + dc
                 e, w = nxt, 1

@@ -424,6 +424,14 @@ API_ROWS = {
         )
         for label, bad in (("str", "no"), ("int", 1), ("none", None))
     },
+    # a flag read for its truth: "no" planned on the maximal list, 0 on the
+    # all-feasible one, and phase_masks cached a list under each such key
+    **{
+        f"solver_maximal_only_{label}": (lambda bad=bad: SolverConfig(maximal_only=bad),
+                                         InvalidSpecError,
+                                         f"maximal_only must be a boolean, got {bad!r}")
+        for label, bad in (("str", "no"), ("int", 0), ("none", None))
+    },
     # a float or a bool in an integer field: not an int, whatever its value
     **{
         f"{name}_{label}": (lambda make=make, bad=bad: make(bad), error,
@@ -439,6 +447,16 @@ def test_api_call_rejected(call, error, fragment):
     with pytest.raises(error) as exc:
         call()
     assert exc.type is error and fragment in str(exc.value)
+
+
+def test_refused_flags_leave_only_bool_keys_in_the_phase_cache():
+    spec = spec12()
+    for bad in ("no", 0, 1, None):
+        with pytest.raises(InvalidSpecError):
+            optimize_schedule(spec, EMPTY, spec.all_closed(), SolverConfig(maximal_only=bad))
+    for flag in (True, False):
+        optimize_schedule(spec, EMPTY, spec.all_closed(), SolverConfig(horizon=1, maximal_only=flag))
+    assert [type(key) for key in spec.conflicts._masks] == [bool, bool]
 
 
 @pytest.mark.parametrize("field, error, low, make", INT_FIELDS.values(), ids=list(INT_FIELDS))

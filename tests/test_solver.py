@@ -346,6 +346,50 @@ def test_search_matches_oracle_with_guard_at_default_timing(horizon):
         assert_search_equals_oracle(sol, orc, horizon)
 
 
+def reach_case(horizon, queues):
+    """A default-junction plan entered from a phase that opens path 1."""
+    spec = IntersectionSpec.standard()
+    prev = next(Phase(m, spec.num_paths) for m in spec.conflicts.phase_masks(True) if m >> 1 & 1)
+    return spec, snapshot_with(spec, queues), prev, SolverConfig(horizon=horizon)
+
+
+def test_guard_fires_at_the_last_record_a_plan_can_reach():
+    # k = 3, D = 4: path 1 stays warm for two blocks and puts its index-8
+    # vehicle (wait 55 + 8 >= 60) in front at depth 2, the deepest record
+    # the set-up reads; every vehicle before it stays under wmax there
+    queues = {1: [(5, 40)] * 8 + [(1, 55)] + [(1, 10)] * 3, 4: [(5, 30)] * 6,
+              8: [(3, 20)] * 4, 2: [(2, 10)] * 3}
+    spec, s, prev, cfg = reach_case(3, queues)
+    assert max(v.wait for q in s.queues for v in q[:8]) + 8 < cfg.wmax <= s.queues[1][8].wait + 8
+    sol = optimize_schedule(spec, s, prev, cfg)
+    orc = exhaustive_oracle(spec, s, prev, cfg)
+    assert_search_equals_oracle(sol, orc, 3)
+    # the guard keeps path 1 open in the last block; unguarded, it closes
+    assert sol.schedule[2].is_open(1)
+    loose = optimize_schedule(spec, s, prev, SolverConfig(horizon=3, wmax=None))
+    assert not loose.schedule[2].is_open(1) and loose.cost < sol.cost
+
+
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_waits_past_the_reach_do_not_move_a_plan(horizon):
+    # the vehicle at index (k - 1) x D + 1 of path 1 is overdue, but no
+    # block can bring it to the front; every front stays under wmax
+    deep = (horizon - 1) * 4 + 1
+
+    def queues(wait):
+        return {1: [(2, 30)] * deep + [(1, wait)] + [(1, 5)] * 2, 4: [(3, 40)] * 5, 8: [(1, 50)] * 2}
+
+    spec, s, prev, cfg = reach_case(horizon, queues(70))
+    oldest = max(v.wait for q in s.queues for v in q[:deep])
+    assert oldest + deep - 1 < cfg.wmax < s.queues[1][deep].wait
+    sol = optimize_schedule(spec, s, prev, cfg)
+    orc = exhaustive_oracle(spec, s, prev, cfg)
+    assert_search_equals_oracle(sol, orc, horizon)
+    young = optimize_schedule(*reach_case(horizon, queues(0)))
+    assert (young.schedule, young.cost, young.nodes_by_depth) == (
+        sol.schedule, sol.cost, sol.nodes_by_depth)
+
+
 def test_search_beats_a_strictly_suboptimal_greedy_dive():
     # path 0 holds two priority-1 vehicles, path 1 one priority-2; D=1,
     # S=0, k=2. At the root both phases total 3 (block cost plus bound):
